@@ -84,7 +84,7 @@ struct Record {
   Answer answer;
   dhtjoin::serve::QueryStats qs;
   dhtjoin::cluster::ClusterQueryStats cs;
-  /// Cache lookups during this query (one-client workloads only).
+  /// Cache lookups during this query (one-client runs only).
   int64_t cache_hits = 0;
   int64_t cache_misses = 0;
 };

@@ -73,7 +73,8 @@ constexpr int64_t kCheckpointEvery = 200;
 constexpr int kNlEvery = 8;
 constexpr std::size_t kNlTemplates = 4;
 /// Per-query counters average over this prefix of the traced stream,
-/// so they repeat exactly between runs of a one-client workload.
+/// so they repeat exactly between same-seed traced runs of
+/// twoway_cold_l08 and nway_pji_nl (README.md, "Repeats").
 constexpr int64_t kCountPrefix = 200;
 constexpr int kUntracedSetupReps = 3;
 /// Concurrent library runs computing reference answers.
@@ -410,7 +411,8 @@ void ServiceLayers(Run& run, DhtJoinService& svc, const ServiceMark& before,
 }
 
 /// Per-query 2-way engine counters over the first kCountPrefix
-/// requests (index order), so one-client runs repeat them exactly.
+/// requests (index order), which repeat exactly where no request's
+/// counts depend on another's (twoway_cold_l08, where no key repeats).
 void TwoWayCounts(Run& run, const Phase<std::vector<ScoredPair>>& phase) {
   int64_t steps = 0, barriers = 0, state_hits = 0, state_misses = 0, n = 0;
   double pruned = 0.0;
@@ -754,6 +756,8 @@ void RunNwayPjiNl(Run& run) {
     run.setup_s.push_back(generate_s + init_s);
   }
 
+  // A traced run has one client: each request's cache lookups are read
+  // as the difference of the service-wide counters around it.
   using NwayPhase = Phase<std::vector<TupleAnswer>>;
   auto phase_on = [&](DhtJoinService& svc, double seconds, int64_t min_answers) {
     auto issue = [&](int, Record<std::vector<TupleAnswer>>& r) {
@@ -770,7 +774,8 @@ void RunNwayPjiNl(Run& run) {
       if (result.ok()) r.answer = std::move(result).value();
     };
     NwayPhase phase = RunClosedLoop<std::vector<TupleAnswer>>(
-        w.clients, seconds, min_answers, stream.size(), {}, issue);
+        ClientsOf(w, run.args.trace), seconds, min_answers, stream.size(), {},
+        issue);
     run.Check(phase, [&](int64_t i) -> const std::vector<TupleAnswer>& {
       const NwayRequest& req = stream[static_cast<std::size_t>(i)];
       return req.nested_loop ? nl_refs[req.template_id].answer
@@ -1115,8 +1120,9 @@ void PrintEnvironment(const Args& a, const WorkloadSpec& w) {
       a.trace ? 1 : 0, sysconf(_SC_NPROCESSORS_ONLN),
       std::thread::hardware_concurrency(), PERFBENCH_BUILD_TYPE,
       obs::kEnabled ? "false" : "true", a.git_rev.c_str(), w.authors,
-      w.set_size, w.lambda, w.d, w.k, w.templates, w.clients, w.pool_threads,
-      w.workers, static_cast<long long>(MinSamplesFor(kP95)));
+      w.set_size, w.lambda, w.d, w.k, w.templates, ClientsOf(w, a.trace),
+      w.pool_threads, w.workers,
+      static_cast<long long>(MinSamplesFor(kP95)));
 }
 
 int Main(int argc, char** argv) {

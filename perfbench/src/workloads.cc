@@ -47,11 +47,11 @@ const std::vector<WorkloadSpec>& AllWorkloads() {
        .k = 50, .set_size = 100, .templates = 64, .clients = 3,
        .pool_threads = 0, .workers = 0},
       {.name = "twoway_cold_l08", .authors = 2000, .lambda = 0.8, .d = 76,
-       .k = 50, .set_size = 50, .templates = 0, .clients = 1,
+       .k = 50, .set_size = 50, .templates = 0, .clients = 3,
        .pool_threads = 0, .workers = 0},
       {.name = "nway_pji_nl", .authors = 3000, .lambda = 0.2, .d = 8,
-       .k = 50, .set_size = 40, .templates = 24, .clients = 1,
-       .pool_threads = 0, .workers = 0},
+       .k = 50, .set_size = 40, .templates = 24, .clients = 3,
+       .traced_clients = 1, .pool_threads = 0, .workers = 0},
       {.name = "twoway_cluster", .authors = 15000, .lambda = 0.2, .d = 8,
        .k = 50, .set_size = 100, .templates = 64, .clients = 3,
        .pool_threads = 2, .workers = 2},

@@ -36,9 +36,18 @@ struct WorkloadSpec {
   std::size_t set_size = 0;   ///< |P| = |Q| (2-way) or per-attribute size
   std::size_t templates = 0;  ///< Zipf template pool (0 = no templates)
   int clients = 1;            ///< closed-loop client threads
+  /// Clients of a traced run; 0 = `clients`. One where the per-query
+  /// counts are read as differences of service-wide counters.
+  int traced_clients = 0;
   int pool_threads = 0;       ///< service pool; 0 = hardware concurrency
   int workers = 0;            ///< cluster worker processes
 };
+
+/// Client threads of an untraced or a traced run of `spec`.
+inline int ClientsOf(const WorkloadSpec& spec, bool traced) {
+  return traced && spec.traced_clients > 0 ? spec.traced_clients
+                                           : spec.clients;
+}
 
 /// The four workloads, by name; nullptr for an unknown name.
 const WorkloadSpec* FindWorkload(const std::string& name);

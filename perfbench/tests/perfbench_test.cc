@@ -167,6 +167,17 @@ TEST(GeneratorTest, ColdRequestsNeverRepeatACacheKey) {
   }
 }
 
+TEST(WorkloadTest, ClientCounts) {
+  // Untraced runs average over three vCPUs; the traced nway_pji_nl run
+  // reads per-request cache lookups as differences of service-wide
+  // counters, which is exact only with one client.
+  for (const WorkloadSpec& w : AllWorkloads()) {
+    EXPECT_EQ(ClientsOf(w, false), 3) << w.name;
+  }
+  EXPECT_EQ(ClientsOf(*FindWorkload("nway_pji_nl"), true), 1);
+  EXPECT_EQ(ClientsOf(*FindWorkload("twoway_cold_l08"), true), 3);
+}
+
 /// Chi-squared goodness of fit of observed template counts to the
 /// Zipf(s) probabilities; true when the fit is not rejected at 1%.
 bool ZipfFits(const std::vector<uint32_t>& stream, std::size_t n, double s) {
