@@ -1,20 +1,25 @@
 /// \file bench/bench_micro_walkers.cc
-/// \brief Micro timings of the DHT engine primitives, comparing the
-/// propagation engines the repo now ships:
-///   dense    — the seed's full O(n + m)-per-step sweep,
-///   adaptive — the frontier-adaptive sparse/dense engine,
-///   batched  — BackwardWalkerBatch / ForwardWalkerBatch (kLaneWidth
-///              walkers per edge pass, blocks fanned across the pool).
+/// \brief Micro timings of the DHT walk engine against the plain dense
+/// reference loops of tests/testing/reference.h:
+///   dense    — RefBackwardScores / RefForwardScore, the seed's full
+///              O(n + m)-per-step sweep, one walk at a time;
+///   adaptive — the frontier-adaptive batch engine driven one walk per
+///              call (a single live lane — the shape of PJ-i's Next()
+///              refinements and NL's per-tuple fallback);
+///   batched  — BackwardWalkerBatch / ForwardWalkerBatch over the whole
+///              target set (kLaneWidth walkers per edge pass, blocks
+///              fanned across the pool).
 /// The d-step backward evaluation on the DBLP-like dataset is the
-/// paper-critical inner loop (B-BJ/B-IDJ bottom out in it); the forward
-/// pair sweep is the slow side of Fig. 9(a) that the forward batch
-/// lifts. Results are printed and also written to BENCH_walkers.json
-/// for the perf trajectory (a committed dev-box baseline lives at
-/// bench/baselines/BENCH_walkers.json). Score agreement between engines
-/// is checked to 1e-12 as part of the run, and the resumable deepening
-/// paths of B-IDJ / F-IDJ are checked byte-identical to their restart
-/// schedules with strictly fewer walk_steps — a fast-but-wrong engine
-/// fails loudly here.
+/// paper-critical inner loop (B-BJ/B-IDJ/PJ-i bottom out in it); the
+/// forward pair sweep is the slow side of Fig. 9(a) that the forward
+/// batch lifts. Results are printed and also written to
+/// BENCH_walkers.json for the perf trajectory (a committed baseline
+/// lives at bench/baselines/BENCH_walkers.json). Every engine score is
+/// checked against the dense reference to 1e-12 as part of the run (the
+/// engine sums in the reference's order, so the observed difference is
+/// 0), and the resumable deepening paths of B-IDJ / F-IDJ are checked
+/// byte-identical to their restart schedules with strictly fewer
+/// walk_steps — a fast-but-wrong engine fails loudly here.
 
 #include <algorithm>
 #include <cmath>
@@ -22,22 +27,23 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "dht/backward.h"
 #include "dht/backward_batch.h"
 #include "dht/bounds.h"
-#include "dht/forward.h"
 #include "dht/forward_batch.h"
 #include "graph/reorder.h"
 #include "join2/b_idj.h"
 #include "join2/f_idj.h"
+#include "testing/reference.h"
 
 using namespace dhtjoin;         // NOLINT
 using namespace dhtjoin::bench;  // NOLINT
+using dhtjoin::testing::RefBackwardScores;
+using dhtjoin::testing::RefForwardScore;
 
 namespace {
 
 /// Targets/sources used for the backward comparison; big enough to
-/// amortize per-walk noise, small enough that the dense engine finishes.
+/// amortize per-walk noise, small enough that the dense loop finishes.
 constexpr std::size_t kNumTargets = 64;
 constexpr std::size_t kNumSources = 200;
 
@@ -55,35 +61,34 @@ BackwardResult RunBackwardComparison(const Graph& g, const DhtParams& p,
                                      int repeats) {
   BackwardResult r;
 
-  // Dense reference: one sequential walker per target (the seed engine).
+  // Dense reference: the plain loop over every CSR row, one target at a
+  // time (the seed engine's cost model).
   std::vector<double> dense_scores(targets.size() * sources.size());
   r.dense_sec_per_target = TimeIt(repeats, [&] {
-    BackwardWalker walker(g, PropagationMode::kDense);
     for (std::size_t t = 0; t < targets.size(); ++t) {
-      walker.Reset(p, targets[t]);
-      walker.Advance(d);
+      const std::vector<double> row = RefBackwardScores(g, p, d, targets[t]);
       for (std::size_t s = 0; s < sources.size(); ++s) {
-        dense_scores[t * sources.size() + s] = walker.Score(sources[s]);
+        dense_scores[t * sources.size() + s] =
+            row[static_cast<std::size_t>(sources[s].value())];
       }
     }
   }) / static_cast<double>(targets.size());
 
-  // Frontier-adaptive, still one walker per target.
+  // Frontier-adaptive engine, one target (one live lane) per call. The
+  // engine (and its thread pool) is a fixture, mirroring how joins
+  // reuse one evaluator — thread spawn must not be charged per repeat.
   std::vector<double> adaptive_scores(dense_scores.size());
+  BackwardWalkerBatch single(g, {.num_threads = 1});
   r.adaptive_sec_per_target = TimeIt(repeats, [&] {
-    BackwardWalker walker(g, PropagationMode::kAdaptive);
     for (std::size_t t = 0; t < targets.size(); ++t) {
-      walker.Reset(p, targets[t]);
-      walker.Advance(d);
-      for (std::size_t s = 0; s < sources.size(); ++s) {
-        adaptive_scores[t * sources.size() + s] = walker.Score(sources[s]);
-      }
+      std::vector<double> row = single.Run(p, d, {&targets[t], 1}, sources);
+      std::copy(row.begin(), row.end(),
+                adaptive_scores.begin() +
+                    static_cast<std::ptrdiff_t>(t * sources.size()));
     }
   }) / static_cast<double>(targets.size());
 
-  // Sparse + batched: the B-BJ/B-IDJ configuration. The batch (and its
-  // thread pool) is a fixture, mirroring how joins reuse one evaluator
-  // across Run() calls — thread spawn must not be charged per repeat.
+  // Sparse + batched: the B-BJ/B-IDJ configuration.
   std::vector<double> batched_scores;
   BackwardWalkerBatch batch(g);
   r.batched_sec_per_target = TimeIt(repeats, [&] {
@@ -174,26 +179,30 @@ int main(int argc, char** argv) {
                        .Set("max_abs_score_diff", r.max_abs_diff));
   }
 
-  // Forward single-pair micro numbers (the F-BJ inner loop).
+  // Forward single-pair micro numbers (the F-BJ inner loop): the dense
+  // reference loop vs the engine on one live lane.
   std::printf("\nforward pair computation (d=8):\n");
   ExtNodeId u = ds.areas[0][0];
   ExtNodeId v = ds.areas[1][0];
   double fwd_dense = 0.0, fwd_adaptive = 0.0;
   {
-    ForwardWalker dense(g, PropagationMode::kDense);
-    ForwardWalker adaptive(g, PropagationMode::kAdaptive);
-    fwd_dense = TimeIt(3, [&] { dense.Compute(p, 8, u, v); });
-    fwd_adaptive = TimeIt(3, [&] { adaptive.Compute(p, 8, u, v); });
-    if (std::abs(dense.Score() - adaptive.Score()) > 1e-12) {
-      std::fprintf(stderr, "FAIL: forward engines disagree\n");
+    double dense_score = 0.0, adaptive_score = 0.0;
+    ForwardWalkerBatch single(g, {.num_threads = 1});
+    fwd_dense =
+        TimeIt(3, [&] { dense_score = RefForwardScore(g, p, 8, u, v); });
+    fwd_adaptive = TimeIt(
+        3, [&] { adaptive_score = single.Run(p, 8, {&u, 1}, {&v, 1})[0]; });
+    if (std::abs(dense_score - adaptive_score) > 1e-12) {
+      std::fprintf(stderr, "FAIL: forward engine disagrees with reference\n");
       return 1;
     }
   }
   std::printf("  dense %.3f ms, adaptive %.3f ms (%.1fx)\n", fwd_dense * 1e3,
               fwd_adaptive * 1e3, fwd_dense / std::max(fwd_adaptive, 1e-12));
 
-  // Forward batch vs scalar pair loop (the F-BJ/F-IDJ inner sweep):
-  // same per-pair walks, one out-CSR pass per kLaneWidth lanes.
+  // Forward batch vs the per-pair dense reference loop (the F-BJ/F-IDJ
+  // inner sweep): same per-pair walks, one out-CSR pass per kLaneWidth
+  // lanes.
   constexpr std::size_t kFwdSources = 24;
   constexpr std::size_t kFwdTargets = 12;
   std::vector<ExtNodeId> fwd_sources, fwd_targets;
@@ -207,15 +216,14 @@ int main(int argc, char** argv) {
   }
   const double num_pairs =
       static_cast<double>(kFwdSources) * static_cast<double>(kFwdTargets);
-  std::vector<double> fwd_scalar_scores(fwd_sources.size() *
-                                        fwd_targets.size());
-  double fwd_scalar_sec = TimeIt(2, [&] {
-    ForwardWalker walker(g);
+  std::vector<double> fwd_reference_scores(fwd_sources.size() *
+                                           fwd_targets.size());
+  double fwd_reference_sec = TimeIt(2, [&] {
     for (std::size_t s = 0; s < fwd_sources.size(); ++s) {
       for (std::size_t t = 0; t < fwd_targets.size(); ++t) {
         if (fwd_sources[s] == fwd_targets[t]) continue;
-        fwd_scalar_scores[s * fwd_targets.size() + t] =
-            walker.Compute(p, 8, fwd_sources[s], fwd_targets[t]);
+        fwd_reference_scores[s * fwd_targets.size() + t] =
+            RefForwardScore(g, p, 8, fwd_sources[s], fwd_targets[t]);
       }
     }
   }) / num_pairs;
@@ -231,17 +239,19 @@ int main(int argc, char** argv) {
       fwd_batch_diff = std::max(
           fwd_batch_diff,
           std::abs(fwd_batch_scores[s * fwd_targets.size() + t] -
-                   fwd_scalar_scores[s * fwd_targets.size() + t]));
+                   fwd_reference_scores[s * fwd_targets.size() + t]));
     }
   }
-  double fwd_batch_speedup = fwd_scalar_sec / std::max(fwd_batch_sec, 1e-12);
-  std::printf("\nforward batch, %zux%zu pairs (d=8): scalar %.3f ms/pair, "
+  double fwd_batch_speedup =
+      fwd_reference_sec / std::max(fwd_batch_sec, 1e-12);
+  std::printf("\nforward batch, %zux%zu pairs (d=8): reference %.3f ms/pair, "
               "batched %.3f ms/pair (%.1fx), max|diff| %.2e\n",
-              kFwdSources, kFwdTargets, fwd_scalar_sec * 1e3,
+              kFwdSources, kFwdTargets, fwd_reference_sec * 1e3,
               fwd_batch_sec * 1e3, fwd_batch_speedup, fwd_batch_diff);
   if (fwd_batch_diff > 1e-12) {
     std::fprintf(stderr,
-                 "FAIL: forward batch/scalar disagree beyond 1e-12 (%.3e)\n",
+                 "FAIL: forward batch/reference disagree beyond 1e-12 "
+                 "(%.3e)\n",
                  fwd_batch_diff);
     return 1;
   }
@@ -296,7 +306,7 @@ int main(int argc, char** argv) {
   }
 
   // Y-bound sweep regression canary (B-IDJ-Y and the incremental join
-  // still pay this dense d-step sweep up front).
+  // still pay this d-step sweep up front).
   NodeSet yp = ds.areas[0].TopByDegree(g, 100);
   NodeSet yq = ds.areas[1].TopByDegree(g, 100);
   double ybound_sec = TimeIt(3, [&] {
@@ -318,7 +328,7 @@ int main(int argc, char** argv) {
       .SetRaw("backward", JsonArray(rows))
       .Set("forward_pair_dense_ms", fwd_dense * 1e3)
       .Set("forward_pair_adaptive_ms", fwd_adaptive * 1e3)
-      .Set("forward_scalar_ms_per_pair", fwd_scalar_sec * 1e3)
+      .Set("forward_reference_ms_per_pair", fwd_reference_sec * 1e3)
       .Set("forward_batched_ms_per_pair", fwd_batch_sec * 1e3)
       .Set("forward_batched_speedup", fwd_batch_speedup)
       .Set("forward_batched_max_abs_diff", fwd_batch_diff)

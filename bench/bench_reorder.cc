@@ -4,7 +4,8 @@
 /// Two claims are gated, both with byte-identity checks, on the
 /// archipelago fixture (many mutually unreachable islands under a
 /// seeded ARBITRARY node labelling — what loading a real edge list
-/// gives you):
+/// gives you), both measured on the walk engine's dense fallback
+/// (BackwardWalkerBatch in kDense mode, one live lane):
 ///
 ///  1. RESTRICTED SWEEP — a saturated-but-local d-step walk must be
 ///     >= 1.5x faster with the reachability-restricted dense sweep
@@ -14,32 +15,23 @@
 ///
 ///  2. DENSE GATHER x REORDER — the same restricted dense gather must
 ///     be a further >= 1.25x faster on the RCM-reordered layout than
-///     on the input labelling, bit-identically. This is the structural
-///     composition of the PR's two halves: under an arbitrary
+///     on the input labelling, bit-identically. Under an arbitrary
 ///     labelling the walk's component is SCATTERED across the whole
 ///     CSR (every covered row is its own cache/TLB excursion); RCM
 ///     assigns each component a contiguous id range, so the restricted
 ///     gather streams a compact slab of rows and mass again.
 ///
-/// The DBLP-like d=8 backward eval on the dense path is gated too (in
-/// the full configuration): the SCALAR dense fallback — the engine the
-/// adaptive policy actually falls back to — must be >= 1.25x faster
-/// under the better of the degree/RCM layouts. Its 8-byte mass slots
-/// mean eight nodes share a cache line, so degree-packing the hub rows
-/// that heavy-tailed gather traffic hits (and RCM-packing
-/// neighbourhoods) converts scattered reads into near-cache hits. The
-/// 8-lane batch gather is reported but NOT speedup-gated: its mass
-/// rows are already exactly one cache line wide (kLaneWidth * 8 bytes
-/// — the lanes are the locality device) and the remaining traffic is
-/// the lean 16-byte arc stream this PR also introduced, so layout
-/// moves it far less by construction. (The generator emits authors
-/// hubs-first — an accidentally near-optimal order real inputs don't
-/// have — so the DBLP timings use the same arbitrary-relabelling
-/// baseline, with the generator-native order reported for context.)
+/// The DBLP-like d=8 backward eval on the 8-lane dense path is reported
+/// for the trajectory and gated on byte-identity across layouts only:
+/// its mass rows are already exactly one cache line wide (kLaneWidth *
+/// 8 bytes — the lanes are the locality device), so layout moves it
+/// far less by construction. (The generator emits authors hubs-first —
+/// an accidentally near-optimal order real inputs don't have — so the
+/// DBLP timings use an arbitrary-relabelling baseline.)
 ///
 /// Usage: bench_reorder [authors] [--smoke]
 /// No arguments = the committed acceptance configuration (60k authors,
-/// 512-island archipelago; the dev-box snapshot lives at
+/// 512-island archipelago; the snapshot lives at
 /// bench/baselines/BENCH_reorder.json). `--smoke` (CI, laptops)
 /// shrinks the archipelago and keeps every byte-identity check FATAL
 /// but demotes the speedup gates to warnings — cache hierarchies vary
@@ -53,9 +45,7 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "dht/backward.h"
 #include "dht/backward_batch.h"
-#include "dht/propagate.h"
 #include "graph/graph_builder.h"
 #include "graph/reorder.h"
 #include "util/rng.h"
@@ -67,7 +57,6 @@ namespace {
 
 constexpr double kDenseGatherGate = 1.25;
 constexpr double kRestrictedSweepGate = 1.5;
-constexpr double kSoaGatherGate = 1.03;
 
 /// Many mutually unreachable random islands; a walk saturates its own
 /// island while the full dense sweep still streams every row.
@@ -99,41 +88,14 @@ struct GatherTiming {
   std::vector<double> rows;
 };
 
-/// Times the adaptive engine's dense fallback — the scalar
-/// BackwardWalker forced to kDense — over a d-step backward eval of
-/// every target, reading the requested sources (the gated path).
-/// `soa` selects the gather's edge stream (split arrays vs AoS).
-GatherTiming TimeScalarDenseGather(const Graph& g, const DhtParams& p, int d,
-                                   const std::vector<ExtNodeId>& targets,
-                                   const std::vector<ExtNodeId>& sources,
-                                   int repeats, bool soa = true) {
-  GatherTiming t;
-  BackwardWalker walker(g, PropagationMode::kDense, true, soa);
-  auto run = [&] {
-    for (std::size_t ti = 0; ti < targets.size(); ++ti) {
-      walker.Reset(p, targets[ti]);
-      walker.Advance(d);
-      for (std::size_t s = 0; s < sources.size(); ++s) {
-        t.rows[ti * sources.size() + s] = walker.Score(sources[s]);
-      }
-    }
-  };
-  t.rows.assign(targets.size() * sources.size(), 0.0);
-  run();  // warm-up + result capture
-  t.ms_per_run = TimeIt(repeats, run) * 1e3;
-  return t;
-}
-
-/// Times the 8-lane batch gather (reported, not gated; see file
-/// comment). `soa` streams the split (to[], prob[]) arrays instead of
-/// the 16-byte AoS OutEdge stream — bit-identical by construction.
+/// Times the 8-lane dense gather over a d-step backward eval of every
+/// target, reading the requested sources.
 GatherTiming TimeBatchDenseGather(const Graph& g, const DhtParams& p, int d,
                                   const std::vector<ExtNodeId>& targets,
                                   const std::vector<ExtNodeId>& sources,
-                                  int repeats, bool soa = true) {
+                                  int repeats) {
   GatherTiming t;
-  BackwardWalkerBatch batch(
-      g, {.mode = PropagationMode::kDense, .soa_gather = soa});
+  BackwardWalkerBatch batch(g, {.mode = PropagationMode::kDense});
   t.rows = batch.Run(p, d, targets, sources);  // warm-up + result capture
   t.ms_per_run =
       TimeIt(repeats, [&] { batch.Run(p, d, targets, sources); }) * 1e3;
@@ -200,11 +162,7 @@ int main(int argc, char** argv) {
               "rcm, generator-native\n",
               base.num_nodes(), static_cast<long long>(base.num_edges()));
 
-  std::vector<ExtNodeId> scalar_targets, batch_targets, sources;
-  for (std::size_t i = 0; i < 4; ++i) {
-    scalar_targets.push_back(ExtNodeId(static_cast<NodeId>(
-        (i * 131 + 17) % static_cast<std::size_t>(base.num_nodes()))));
-  }
+  std::vector<ExtNodeId> batch_targets, sources;
   for (std::size_t i = 0; i < 8; ++i) {
     batch_targets.push_back(ExtNodeId(static_cast<NodeId>(
         (i * 131 + 17) % static_cast<std::size_t>(base.num_nodes()))));
@@ -213,35 +171,6 @@ int main(int argc, char** argv) {
     sources.push_back(ExtNodeId(static_cast<NodeId>(
         (i * 37 + 5) % static_cast<std::size_t>(base.num_nodes()))));
   }
-
-  const int repeats = 5;
-  GatherTiming unordered =
-      TimeScalarDenseGather(base, p, d, scalar_targets, sources, repeats);
-  GatherTiming degree =
-      TimeScalarDenseGather(deg, p, d, scalar_targets, sources, repeats);
-  GatherTiming rcmt =
-      TimeScalarDenseGather(rcm, p, d, scalar_targets, sources, repeats);
-  // Context row: the generator's own hubs-first order (different node
-  // labels, so only timed, not compared).
-  GatherTiming nativet =
-      TimeScalarDenseGather(native, p, d, scalar_targets, sources, repeats);
-
-  const bool gather_identical = BitIdentical(unordered.rows, degree.rows) &&
-                                BitIdentical(unordered.rows, rcmt.rows);
-  const double degree_speedup =
-      unordered.ms_per_run / std::max(degree.ms_per_run, 1e-9);
-  const double rcm_speedup =
-      unordered.ms_per_run / std::max(rcmt.ms_per_run, 1e-9);
-  const double best_speedup = std::max(degree_speedup, rcm_speedup);
-  std::printf(
-      "\ndense d=%d backward gather, scalar fallback (%zu targets x %zu "
-      "sources):\n"
-      "  input %8.2f ms   degree %8.2f ms (%.2fx)   rcm %8.2f ms "
-      "(%.2fx)   byte-identical=%s\n"
-      "  (generator-native hubs-first order, for context: %8.2f ms)\n",
-      d, scalar_targets.size(), sources.size(), unordered.ms_per_run,
-      degree.ms_per_run, degree_speedup, rcmt.ms_per_run, rcm_speedup,
-      gather_identical ? "yes" : "NO", nativet.ms_per_run);
 
   // 8-lane batch gather: reported for the trajectory, gated only on
   // byte-identity (its mass rows are already one line wide, so layout
@@ -252,6 +181,10 @@ int main(int argc, char** argv) {
       TimeBatchDenseGather(deg, p, d, batch_targets, sources, 1);
   GatherTiming brcm =
       TimeBatchDenseGather(rcm, p, d, batch_targets, sources, 1);
+  // Context row: the generator's own hubs-first order (different node
+  // labels, so only timed, not compared).
+  GatherTiming bnative =
+      TimeBatchDenseGather(native, p, d, batch_targets, sources, 1);
   const bool batch_identical = BitIdentical(bunordered.rows, bdegree.rows) &&
                                BitIdentical(bunordered.rows, brcm.rows);
   const double batch_degree_speedup =
@@ -259,46 +192,15 @@ int main(int argc, char** argv) {
   const double batch_rcm_speedup =
       bunordered.ms_per_run / std::max(brcm.ms_per_run, 1e-9);
   std::printf(
-      "dense d=%d backward gather, 8-lane batch (%zu targets x %zu "
+      "\ndense d=%d backward gather, 8-lane batch (%zu targets x %zu "
       "sources, not gated):\n"
       "  input %8.2f ms   degree %8.2f ms (%.2fx)   rcm %8.2f ms "
-      "(%.2fx)   byte-identical=%s\n",
+      "(%.2fx)   byte-identical=%s\n"
+      "  (generator-native hubs-first order, for context: %8.2f ms)\n",
       d, batch_targets.size(), sources.size(), bunordered.ms_per_run,
       bdegree.ms_per_run, batch_degree_speedup, brcm.ms_per_run,
-      batch_rcm_speedup, batch_identical ? "yes" : "NO");
-
-  // SoA gather stream (graph.h OutTargets/OutProbs): the dense gather
-  // reads only (to, prob), so the split arrays cut the hot stream from
-  // 16 padded bytes/edge to 12. The SCALAR gather (one madd/edge,
-  // stream-bound) is the gated beneficiary and defaults to SoA; the
-  // 8-lane batch (eight madds/edge amortize the stream) measurably
-  // prefers AoS, which is its default — both A/B'd here, byte-identity
-  // fatal, the committed scalar ratio CI-gated.
-  GatherTiming saos =
-      TimeScalarDenseGather(base, p, d, scalar_targets, sources, repeats,
-                            /*soa=*/false);
-  const bool soa_identical = BitIdentical(saos.rows, unordered.rows);
-  const double soa_speedup =
-      saos.ms_per_run / std::max(unordered.ms_per_run, 1e-9);
-  GatherTiming baos =
-      TimeBatchDenseGather(base, p, d, batch_targets, sources, 1,
-                           /*soa=*/false);
-  GatherTiming bsoa =
-      TimeBatchDenseGather(base, p, d, batch_targets, sources, 1,
-                           /*soa=*/true);
-  const bool batch_soa_identical = BitIdentical(baos.rows, bsoa.rows);
-  const double batch_soa_speedup =
-      baos.ms_per_run / std::max(bsoa.ms_per_run, 1e-9);
-  std::printf(
-      "dense d=%d backward gather, AoS vs SoA edge stream (input "
-      "layout):\n"
-      "  scalar: aos %8.2f ms   soa %8.2f ms (%.2fx, gated)   "
-      "byte-identical=%s\n"
-      "  batch:  aos %8.2f ms   soa %8.2f ms (%.2fx, reported)   "
-      "byte-identical=%s\n",
-      d, saos.ms_per_run, unordered.ms_per_run, soa_speedup,
-      soa_identical ? "yes" : "NO", baos.ms_per_run, bsoa.ms_per_run,
-      batch_soa_speedup, batch_soa_identical ? "yes" : "NO");
+      batch_rcm_speedup, batch_identical ? "yes" : "NO",
+      bnative.ms_per_run);
 
   // ------------------------- 2. restricted sweep + reordered layout
   // 512 islands of 2k nodes under an arbitrary labelling; the walk
@@ -318,34 +220,38 @@ int main(int argc, char** argv) {
   arch.Reachability();      // build the lazy indexes outside the
   arch_rcm.Reachability();  // timed region
 
-  const NodeId seed_node = 123;
+  // The dense fallback on one live lane: the engine's kDense mode, one
+  // target per run, scores read at a fixed probe set (so the timed
+  // region is the gather, not an O(n) score row). Byte identity is
+  // checked on the full score row over every node, outside the timing.
+  const ExtNodeId seed_node(123);
   const int sweep_d = 16;
-  auto run_sweep = [&](const Graph& g, bool restrict_dense,
-                       std::vector<double>* mass_out) {
-    Propagator engine(g, Propagator::Direction::kBackward,
-                      PropagationMode::kDense, restrict_dense);
-    engine.Reset(g.ToInternal(ExtNodeId(seed_node)));
-    for (int i = 0; i < sweep_d; ++i) engine.Step();
-    if (mass_out != nullptr) {
-      mass_out->assign(static_cast<std::size_t>(g.num_nodes()), 0.0);
-      engine.ForEachMass([&](NodeId u, double m) {
-        (*mass_out)[static_cast<std::size_t>(
-            g.ToExternal(IntNodeId(u)).value())] = m;
-      });
-    }
+  std::vector<ExtNodeId> all_nodes, probes;
+  for (NodeId u = 0; u < arch.num_nodes(); ++u) all_nodes.emplace_back(u);
+  for (NodeId u = 0; u < 64; ++u) {
+    probes.emplace_back(u * 997 % arch.num_nodes());
+  }
+  BackwardWalkerBatch full_engine(
+      arch, {.mode = PropagationMode::kDense, .num_threads = 1,
+             .restrict_dense = false});
+  BackwardWalkerBatch restricted_engine(
+      arch, {.mode = PropagationMode::kDense, .num_threads = 1});
+  BackwardWalkerBatch rcm_engine(
+      arch_rcm, {.mode = PropagationMode::kDense, .num_threads = 1});
+  auto run_sweep = [&](BackwardWalkerBatch& engine,
+                       const std::vector<ExtNodeId>& read) {
+    return engine.Run(p, sweep_d, {&seed_node, 1}, read);
   };
-  std::vector<double> mass_full, mass_restricted, mass_rcm;
-  run_sweep(arch, false, &mass_full);
-  run_sweep(arch, true, &mass_restricted);
-  run_sweep(arch_rcm, true, &mass_rcm);
-  const bool sweep_identical = BitIdentical(mass_full, mass_restricted) &&
-                               BitIdentical(mass_full, mass_rcm);
+  const std::vector<double> rows_full = run_sweep(full_engine, all_nodes);
+  const bool sweep_identical =
+      BitIdentical(rows_full, run_sweep(restricted_engine, all_nodes)) &&
+      BitIdentical(rows_full, run_sweep(rcm_engine, all_nodes));
   const double full_ms =
-      TimeIt(5, [&] { run_sweep(arch, false, nullptr); }) * 1e3;
+      TimeIt(5, [&] { run_sweep(full_engine, probes); }) * 1e3;
   const double restricted_ms =
-      TimeIt(5, [&] { run_sweep(arch, true, nullptr); }) * 1e3;
+      TimeIt(5, [&] { run_sweep(restricted_engine, probes); }) * 1e3;
   const double rcm_restricted_ms =
-      TimeIt(5, [&] { run_sweep(arch_rcm, true, nullptr); }) * 1e3;
+      TimeIt(5, [&] { run_sweep(rcm_engine, probes); }) * 1e3;
   const double sweep_speedup = full_ms / std::max(restricted_ms, 1e-9);
   const double reorder_gather_speedup =
       restricted_ms / std::max(rcm_restricted_ms, 1e-9);
@@ -366,28 +272,13 @@ int main(int argc, char** argv) {
       .Set("num_nodes", static_cast<int64_t>(base.num_nodes()))
       .Set("num_edges", base.num_edges())
       .Set("d", d)
-      .Set("dblp_scalar_gather_input_ms", unordered.ms_per_run)
-      .Set("dblp_scalar_gather_degree_ms", degree.ms_per_run)
-      .Set("dblp_scalar_gather_rcm_ms", rcmt.ms_per_run)
-      .Set("dblp_scalar_gather_native_ms", nativet.ms_per_run)
-      .Set("dblp_scalar_gather_degree_speedup", degree_speedup)
-      .Set("dblp_scalar_gather_rcm_speedup", rcm_speedup)
-      .Set("dblp_scalar_gather_best_speedup", best_speedup)
-      .Set("dblp_scalar_gather_byte_identical", gather_identical ? 1 : 0)
       .Set("dblp_batch_gather_input_ms", bunordered.ms_per_run)
       .Set("dblp_batch_gather_degree_ms", bdegree.ms_per_run)
       .Set("dblp_batch_gather_rcm_ms", brcm.ms_per_run)
+      .Set("dblp_batch_gather_native_ms", bnative.ms_per_run)
       .Set("dblp_batch_gather_degree_speedup", batch_degree_speedup)
       .Set("dblp_batch_gather_rcm_speedup", batch_rcm_speedup)
       .Set("dblp_batch_gather_byte_identical", batch_identical ? 1 : 0)
-      .Set("dblp_scalar_gather_aos_ms", saos.ms_per_run)
-      .Set("soa_scalar_gather_speedup", soa_speedup)
-      .Set("soa_scalar_gather_byte_identical", soa_identical ? 1 : 0)
-      .Set("dblp_batch_gather_aos_ms", baos.ms_per_run)
-      .Set("dblp_batch_gather_soa_ms", bsoa.ms_per_run)
-      .Set("soa_batch_gather_speedup", batch_soa_speedup)
-      .Set("soa_batch_gather_byte_identical", batch_soa_identical ? 1 : 0)
-      .Set("gate_soa_scalar_gather", kSoaGatherGate)
       .Set("archipelago_islands", kIslands)
       .Set("restricted_sweep_full_ms", full_ms)
       .Set("restricted_sweep_restricted_ms", restricted_ms)
@@ -403,26 +294,10 @@ int main(int argc, char** argv) {
               sweep_speedup, reorder_gather_speedup);
 
   bool ok = true;
-  if (!gather_identical || !sweep_identical || !batch_identical ||
-      !soa_identical || !batch_soa_identical) {
-    std::fprintf(stderr, "FAIL: reordered/restricted/SoA results are not "
+  if (!sweep_identical || !batch_identical) {
+    std::fprintf(stderr, "FAIL: reordered/restricted results are not "
                          "byte-identical\n");
     ok = false;  // fatal in every mode
-  }
-  if (soa_speedup < kSoaGatherGate) {
-    std::fprintf(stderr,
-                 "%s: scalar SoA-gather speedup %.2fx below the %.2fx gate\n",
-                 smoke ? "WARN (smoke)" : "FAIL", soa_speedup,
-                 kSoaGatherGate);
-    ok = ok && smoke;
-  }
-  if (best_speedup < kDenseGatherGate) {
-    std::fprintf(
-        stderr,
-        "%s: DBLP scalar dense-gather reorder speedup %.2fx below the "
-        "%.2fx gate\n",
-        smoke ? "WARN (smoke)" : "FAIL", best_speedup, kDenseGatherGate);
-    ok = ok && smoke;
   }
   if (reorder_gather_speedup < kDenseGatherGate) {
     std::fprintf(

@@ -1,97 +1,22 @@
 #include "cluster/frame.h"
 
-#include <cstring>
 #include <string>
 
-#include "util/rng.h"
-
 namespace dhtjoin::cluster {
-
-namespace {
-
-void PutU16(uint8_t* out, uint16_t v) {
-  out[0] = static_cast<uint8_t>(v & 0xffu);
-  out[1] = static_cast<uint8_t>((v >> 8) & 0xffu);
-}
-
-void PutU32(uint8_t* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out[i] = static_cast<uint8_t>((v >> (8 * i)) & 0xffu);
-  }
-}
-
-void PutU64(uint8_t* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out[i] = static_cast<uint8_t>((v >> (8 * i)) & 0xffu);
-  }
-}
-
-uint16_t GetU16(const uint8_t* in) {
-  return static_cast<uint16_t>(static_cast<uint16_t>(in[0]) |
-                               static_cast<uint16_t>(in[1]) << 8);
-}
-
-uint32_t GetU32(const uint8_t* in) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(in[i]) << (8 * i);
-  }
-  return v;
-}
-
-uint64_t GetU64(const uint8_t* in) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(in[i]) << (8 * i);
-  }
-  return v;
-}
-
-}  // namespace
-
-uint64_t FrameChecksum(std::span<const uint8_t> payload) {
-  // SplitMix64 chain over 8-byte words, then the tail, then the length.
-  // Chained (each word is folded into the state through the full mixer)
-  // so reordered or shifted bytes change the sum, unlike a XOR fold.
-  uint64_t acc = 0x9e3779b97f4a7c15ULL ^ payload.size();
-  std::size_t i = 0;
-  for (; i + 8 <= payload.size(); i += 8) {
-    uint64_t word = 0;
-    std::memcpy(&word, payload.data() + i, 8);
-    uint64_t s = acc ^ word;
-    acc = SplitMix64(s);
-  }
-  if (i < payload.size()) {
-    uint64_t tail = 0;
-    std::memcpy(&tail, payload.data() + i, payload.size() - i);
-    uint64_t s = acc ^ tail;
-    acc = SplitMix64(s);
-  }
-  uint64_t fin = acc;
-  return SplitMix64(fin);
-}
-
-void EncodeFrameHeader(const FrameHeader& header, uint8_t* out) {
-  PutU32(out + 0, header.magic);
-  PutU16(out + 4, header.version);
-  PutU16(out + 6, header.type);
-  PutU64(out + 8, header.request_id);
-  PutU32(out + 16, header.payload_len);
-  PutU64(out + 20, header.checksum);
-}
 
 Result<FrameHeader> DecodeFrameHeader(std::span<const uint8_t> in) {
   if (in.size() < kFrameHeaderBytes) {
     return Status::InvalidArgument("frame header truncated: " +
                                    std::to_string(in.size()) + " bytes");
   }
+  ByteReader r(in.first(kFrameHeaderBytes));
   FrameHeader h;
-  h.magic = GetU32(in.data() + 0);
-  h.version = GetU16(in.data() + 4);
-  h.type = GetU16(in.data() + 6);
-  h.request_id = GetU64(in.data() + 8);
-  h.payload_len = GetU32(in.data() + 16);
-  h.checksum = GetU64(in.data() + 20);
+  h.magic = r.U32();
+  h.version = r.U16();
+  h.type = r.U16();
+  h.request_id = r.U64();
+  h.payload_len = r.U32();
+  h.checksum = r.U64();
   if (h.magic != kFrameMagic) {
     return Status::InvalidArgument("bad frame magic");
   }
@@ -120,20 +45,21 @@ Status VerifyFramePayload(const FrameHeader& header,
   return Status::OK();
 }
 
+// Encode and decode both go through the shared little-endian codec
+// (util/byte_codec.h); the header fields are laid out back to back, so
+// the fixed offsets of frame.h fall out of the write order. The frame
+// is built in the one buffer it is returned in.
 std::vector<uint8_t> EncodeFrame(FrameType type, uint64_t request_id,
                                  std::span<const uint8_t> payload) {
-  FrameHeader h;
-  h.type = static_cast<uint16_t>(type);
-  h.request_id = request_id;
-  h.payload_len = static_cast<uint32_t>(payload.size());
-  h.checksum = FrameChecksum(payload);
-  std::vector<uint8_t> frame(kFrameHeaderBytes + payload.size());
-  EncodeFrameHeader(h, frame.data());
-  if (!payload.empty()) {
-    std::memcpy(frame.data() + kFrameHeaderBytes, payload.data(),
-                payload.size());
-  }
-  return frame;
+  ByteWriter w(kFrameHeaderBytes + payload.size());
+  w.U32(kFrameMagic);
+  w.U16(kProtocolVersion);
+  w.U16(static_cast<uint16_t>(type));
+  w.U64(request_id);
+  w.U32(static_cast<uint32_t>(payload.size()));
+  w.U64(FrameChecksum(payload));
+  w.Bytes(payload);
+  return w.Take();
 }
 
 }  // namespace dhtjoin::cluster

@@ -120,6 +120,17 @@ void WorkerServer::AcceptLoop() {
     }
     std::lock_guard<std::mutex> lock(mu_);
     if (stopping_.load(std::memory_order_relaxed)) break;
+    // A finished thread deregistered under mu_ as its last step, so
+    // joining it here never waits on anything that needs the lock.
+    for (std::thread::id id : finished_conns_) {
+      auto it = std::find_if(
+          conn_threads_.begin(), conn_threads_.end(),
+          [id](const std::thread& t) { return t.get_id() == id; });
+      if (it == conn_threads_.end()) continue;
+      it->join();
+      conn_threads_.erase(it);
+    }
+    finished_conns_.clear();
     conn_threads_.emplace_back(
         [this](Socket sock) { ServeConnection(std::move(sock)); },
         std::move(conn).value());
@@ -141,6 +152,7 @@ void WorkerServer::ServeConnection(Socket conn) {
   live_conns_.erase(
       std::remove(live_conns_.begin(), live_conns_.end(), &conn),
       live_conns_.end());
+  finished_conns_.push_back(std::this_thread::get_id());
 }
 
 HelloInfo WorkerServer::MakeHelloInfo() {
@@ -321,6 +333,7 @@ void WorkerServer::Stop(int64_t drain_millis) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     threads.swap(conn_threads_);
+    finished_conns_.clear();
   }
   for (std::thread& t : threads) {
     if (t.joinable()) t.join();

@@ -97,6 +97,13 @@ class WorkerServer {
   int64_t checkpoints_written() const {
     return checkpoints_written_.load(std::memory_order_relaxed);
   }
+  /// Connection threads not yet joined. Finished ones are joined on
+  /// the next accept, so this tracks live connections (plus those that
+  /// closed since the last accept), not every connection ever served.
+  std::size_t connection_threads() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return conn_threads_.size();
+  }
 
   /// Writes one checkpoint now. `chaos_armed` draws a CheckpointFault
   /// for this write's ordinal (the periodic thread passes true; the
@@ -140,8 +147,12 @@ class WorkerServer {
   /// Serializes Stop/Abort/destructor against each other.
   std::mutex stop_mu_;
   std::mutex mu_;
-  /// Connection threads, joined on Stop.
+  /// Connection threads; finished ones are joined at the next accept
+  /// (the coordinator opens one connection per RPC, and an unjoined
+  /// thread keeps its stack), the rest on Stop.
   std::vector<std::thread> conn_threads_;
+  /// Ids of connection threads that have returned and await a join.
+  std::vector<std::thread::id> finished_conns_;
   /// Live connection sockets, for cross-thread severing on Stop/Abort.
   /// Entries are owned by their connection thread; they deregister
   /// under mu_ before destroying the Socket.

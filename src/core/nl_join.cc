@@ -1,6 +1,5 @@
 #include "core/nl_join.h"
 
-#include "dht/forward.h"
 #include "dht/forward_batch.h"
 #include "util/timer.h"
 #include "util/top_k.h"
@@ -20,7 +19,7 @@ Result<std::vector<TupleAnswer>> NestedLoopJoin::Run(
   const auto& edges = query.edges();
 
   // Dense tables need sum_e |L| * |R| doubles; above the ceiling, fall
-  // back to the seed's O(1)-memory per-tuple walker instead of OOMing.
+  // back to O(1)-memory per-tuple walks instead of OOMing.
   std::size_t table_bytes = 0;
   for (const JoinEdge& edge : edges) {
     table_bytes += query.set(edge.left).size() *
@@ -90,7 +89,6 @@ Result<std::vector<TupleAnswer>> NestedLoopJoin::Run(
     }
   }
 
-  ForwardWalker walker(g);  // the per-tuple fallback scorer
   TopK<TupleAnswer, TupleAnswerPrefer> best(k);
   std::vector<NodeId> tuple(static_cast<std::size_t>(n), kInvalidNode);
   std::vector<std::size_t> tuple_index(static_cast<std::size_t>(n), 0);
@@ -118,7 +116,10 @@ Result<std::vector<TupleAnswer>> NestedLoopJoin::Run(
                            tuple_index[static_cast<std::size_t>(
                                edges[e].right)]];
         } else {
-          score = walker.Compute(params, d, ExtNodeId(u), ExtNodeId(v));
+          // The per-tuple fallback: one single-lane forward walk.
+          const ExtNodeId source(u);
+          const ExtNodeId target(v);
+          score = batch.Run(params, d, {&source, 1}, {&target, 1})[0];
           stats_.dht_computations++;
         }
         if (score <= params.beta) {

@@ -11,8 +11,9 @@
 /// the enumeration alone keeps NL infeasible for n >= 3 at paper scale;
 /// an optional wall-clock budget lets benchmarks report DNF instead of
 /// hanging. When the dense per-edge tables would exceed
-/// Options::max_table_bytes, NL falls back to the seed's O(1)-memory
-/// per-tuple walker instead of risking an OOM.
+/// Options::max_table_bytes, NL falls back to O(1)-memory per-tuple
+/// walks (one single-lane ForwardWalkerBatch run per tuple edge)
+/// instead of risking an OOM.
 
 #ifndef DHTJOIN_CORE_NL_JOIN_H_
 #define DHTJOIN_CORE_NL_JOIN_H_

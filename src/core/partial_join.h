@@ -22,7 +22,7 @@
 
 namespace dhtjoin {
 
-class BackwardSnapshotProvider;
+class BackwardStateCache;
 
 class PartialJoin final : public NwayJoin {
  public:
@@ -37,9 +37,9 @@ class PartialJoin final : public NwayJoin {
     /// HRJN*-style adaptive strategy is an extension, see the ablation
     /// bench).
     PullStrategy pull_strategy = PullStrategy::kRoundRobin;
-    /// Cross-query walk-snapshot source for the incremental streams
-    /// (the serving cache; see dht/backward.h). PJ-i only.
-    BackwardSnapshotProvider* snapshots = nullptr;
+    /// Cross-query walk-state cache for the incremental streams (the
+    /// serving cache; see dht/backward_batch.h). PJ-i only.
+    BackwardStateCache* state_cache = nullptr;
   };
 
   struct Stats {

@@ -1,34 +1,35 @@
 /// \file dht/backward_batch.h
 /// \brief Batched multi-target backward evaluation (SpMM-style).
 ///
-/// The backward join algorithms (B-BJ, B-IDJ) advance one BackwardWalker
-/// per target q in Q — |Q| independent sparse matrix-vector products
-/// that each re-stream the whole edge array. This evaluator advances
-/// blocks of kLaneWidth targets TOGETHER: the mass state is an n x W
-/// row-major matrix (one contiguous W-lane row per node), so one pass
-/// over the edges relaxes W walkers at once. Per walker this divides
-/// the edge-stream traffic by W and turns the random 8-byte gather of
-/// mass[e.to] into a single cache line carrying all W lanes — the
-/// classic SpMV -> SpMM win. Blocks are independent and fan out across
-/// a ThreadPool for multicore scaling on top.
+/// One backward walk from a target q yields h_d(u, q) for EVERY source u
+/// at once — the paper's backWalk (Eq. 5):
+///   P_i(u, q) = sum_{(u,v) in E, v != q} p_uv * P_{i-1}(v, q),
+///   P_1(u, q) = p_uq,
+/// the |P|-fold advantage the B-BJ / B-IDJ / PJ-i family (Sec VI) rests
+/// on. Walking each target alone would be |Q| independent sparse
+/// matrix-vector products that each re-stream the whole edge array;
+/// this evaluator advances blocks of kLaneWidth targets TOGETHER: the
+/// mass state is an n x W row-major matrix (one contiguous W-lane row
+/// per node), so one pass over the edges relaxes W walkers at once. Per
+/// walker this divides the edge-stream traffic by W and turns the
+/// random 8-byte gather of mass[e.to] into a single cache line carrying
+/// all W lanes — the classic SpMV -> SpMM win. Blocks are independent
+/// and fan out across a ThreadPool for multicore scaling on top.
 ///
 /// The block machinery (lane workspace, pooling, the frontier-adaptive
 /// blocked step, level grouping, write-back-under-budget) is the shared
-/// core in dht/batch_core.h, templated on direction and lane width;
-/// this engine supplies the backward direction policy (sparse push over
-/// transposed in-rows, dense sequential gather over the sweep plan's
-/// out-rows) and is itself a template on the lane width W:
-/// BackwardWalkerBatch is the 8-lane default (one cache line of
-/// doubles); BackwardWalkerBatchT<4> is the narrow-lane option — half
-/// the workspace bytes with twice the blocks in flight, bit-identical
-/// results.
+/// core in dht/batch_core.h; this engine supplies the backward
+/// direction policy (sparse push over transposed in-rows, dense
+/// sequential gather over the sweep plan's out-rows).
+/// BackwardWalkerBatch is the 8-lane instantiation (one cache line of
+/// doubles); a caller with a single target to deepen runs one live
+/// lane.
 ///
-/// Steps are frontier-adaptive exactly like dht/propagate.h, and the
-/// union support of a block is kept SORTED at every step boundary, so
-/// the per-lane summation order is identical to the dense gather's CSR
-/// order — scores are bit-identical across modes, lane groupings, lane
-/// WIDTHS, thread counts, and restarted vs resumed walks (DESIGN.md
-/// §3).
+/// Steps are frontier-adaptive (dht/batch_core.h), and the union
+/// support of a block is kept SORTED at every step boundary, so the
+/// per-lane summation order is identical to the dense gather's CSR
+/// order — scores are bit-identical across modes, lane groupings,
+/// thread counts, and restarted vs resumed walks (DESIGN.md §3).
 ///
 /// Scores are only materialized for a caller-provided source set P
 /// (joins never read anything else), which keeps the output |Q| x |P|
@@ -84,7 +85,6 @@
 
 #include "dht/batch_core.h"
 #include "dht/params.h"
-#include "dht/propagate.h"
 #include "graph/graph.h"
 #include "obs/trace.h"
 #include "util/deadline.h"
@@ -103,9 +103,9 @@ struct BackwardBatchSnapshot {
   std::vector<std::pair<NodeId, double>> mass;  // nonzero, ascending node
   /// Score DELTAS over the pinned sources: h_level(p, q) - beta per
   /// source p. Kept beta-exclusive so a resumed row continues the exact
-  /// floating-point sum the scalar BackwardWalker's score_delta_
-  /// accumulates — the engines add beta only at output, which is what
-  /// makes batch and scalar scores BIT-identical (DESIGN.md §3).
+  /// floating-point sum a from-scratch walk accumulates — the engine
+  /// adds beta only at output, which is what makes resumed and cold
+  /// scores BIT-identical (DESIGN.md §3).
   std::vector<double> row;
 
   std::size_t ApproxBytes() const {
@@ -128,7 +128,8 @@ class BackwardBatchStates : public batch_core::BatchStateBudget {
                                std::size_t max_bytes = kDefaultMaxBytes)
       : BatchStateBudget(max_bytes), slots_(num_slots) {}
 
-  /// Default budget mirrors WalkerStatePool::kDefaultMaxBytes.
+  /// Default budget: enough for a few thousand mid-sized walk states
+  /// without threatening a laptop; joins override per workload.
   static constexpr std::size_t kDefaultMaxBytes = std::size_t{256} << 20;
 
   /// Walked depth of `slot`; 0 means no saved state (fresh or evicted).
@@ -198,6 +199,39 @@ class BackwardBatchStates : public batch_core::BatchStateBudget {
   std::vector<Slot> slots_;
 };
 
+/// Cross-query home of saved backward walks, implemented by the serving
+/// cache (src/serve/). A snapshot's score row covers exactly one pinned
+/// source set, so entries are keyed by (target, source set): Pin() fixes
+/// the source set once per join, and the returned view fetches and
+/// stores walks by target. A fetched snapshot is a walk of its target at
+/// depth `level` and resumes from exactly that level with bit-identical
+/// results (DESIGN.md §3). Fetch returning nullptr, and Store discarding
+/// its argument, are both always legal — the cache is not a store of
+/// record. Implementations must be thread-safe: concurrent query
+/// sessions share one cache.
+class BackwardStateCache {
+ public:
+  /// One source set's view of the cache.
+  class Pinned {
+   public:
+    virtual ~Pinned() = default;
+
+    /// Deepest saved walk of `target` over the pinned sources, or
+    /// nullptr.
+    virtual std::shared_ptr<const BackwardBatchSnapshot> Fetch(
+        ExtNodeId target) = 0;
+
+    /// Offers the walk of `target` for future queries; a resident walk
+    /// at an equal or greater depth wins.
+    virtual void Store(ExtNodeId target, BackwardBatchSnapshot snap) = 0;
+  };
+
+  virtual ~BackwardStateCache() = default;
+
+  /// The view of walks whose score rows cover exactly `sources`.
+  virtual std::unique_ptr<Pinned> Pin(std::span<const ExtNodeId> sources) = 0;
+};
+
 /// One group of the fused backward scheduler (AdvanceMany): advance
 /// `targets` (whose resumable states live in `states` at `slots`) to
 /// `to_level`, writing each target's score row over `sources` into
@@ -220,8 +254,7 @@ struct BackwardAdvanceGroup {
 /// Advances many backward walkers at once; see file comment.
 /// W is the lane width (walkers advanced together per block, also the
 /// SIMD-friendly row width of the mass matrix); use the
-/// BackwardWalkerBatch alias (W = 8, one cache line of doubles) unless
-/// workspace memory is the constraint.
+/// BackwardWalkerBatch alias (W = 8, one cache line of doubles).
 template <int W>
 class BackwardWalkerBatchT {
   static_assert(W > 0, "lane width must be positive");
@@ -237,14 +270,6 @@ class BackwardWalkerBatchT {
     /// comment). Off = the seed engine's all-rows sweep; results are
     /// bit-identical either way (benchmark baseline switch).
     bool restrict_dense = true;
-    /// Stream the split SoA (to[], prob[]) arrays in the dense gather
-    /// instead of the 16-byte AoS OutEdge stream (bit-identical either
-    /// way; bench_reorder A/Bs this). Default OFF here: at W = 8 the
-    /// per-edge work is eight madds, which amortizes the AoS stream,
-    /// and the second address stream measurably costs more than the 4
-    /// saved bytes/edge. The SCALAR engine (one madd/edge, truly
-    /// stream-bound) defaults to SoA, where the cut wins.
-    bool soa_gather = false;
     /// Byte cap on idle block workspaces retained between runs; a
     /// workspace released over the cap is freed instead of pooled.
     std::size_t max_pooled_bytes = kDefaultMaxPooledBytes;
@@ -266,8 +291,8 @@ class BackwardWalkerBatchT {
   /// Runs a d-step backward walk from every target and returns the
   /// scores of the requested sources, row-major:
   ///   result[t * sources.size() + s] = h_d(sources[s], targets[t]).
-  /// Self pairs (sources[s] == targets[t]) are present but meaningless,
-  /// mirroring BackwardWalker::Score — callers must skip them.
+  /// Self pairs (sources[s] == targets[t]) are present but meaningless
+  /// (a first-RETURN score) — callers must skip them.
   ///
   /// The matrix is dense: callers with huge target sets must slice them
   /// to MaxTargetsPerRun() per call or the allocation alone defeats the
@@ -287,10 +312,9 @@ class BackwardWalkerBatchT {
     std::span<const NodeId> isources =
         g_.MapToInternal(sources, source_storage);
 
-    // Blocks accumulate beta-EXCLUSIVE score deltas (the scalar
-    // walker's score_delta_ sum, in the same step order); beta joins
-    // once at the end, so every cell is bit-identical to
-    // BackwardWalker::Score (DESIGN.md §3).
+    // Blocks accumulate beta-EXCLUSIVE score deltas in step order; beta
+    // joins once at the end, so every cell is bit-identical to a
+    // resumed walk's row and to the dense reference (DESIGN.md §3).
     std::vector<double> out(targets.size() * sources.size(), 0.0);
     const std::size_t num_blocks = (targets.size() + W - 1) / W;
     pool_.ParallelFor(static_cast<int64_t>(num_blocks), [&](int64_t block) {
@@ -498,8 +522,8 @@ class BackwardWalkerBatchT {
       *interrupted = stopped.load(std::memory_order_relaxed);
     }
     // Rows (and the snapshots written back above) are beta-exclusive
-    // deltas; hand callers real scores. beta + delta is exactly the
-    // scalar walker's read, so the output is bit-identical to it.
+    // deltas; hand callers real scores. beta + delta is the one read
+    // every path shares, so the output is bit-identical across them.
     for (const BackwardAdvanceGroup& grp : groups) {
       const std::size_t cells = grp.targets.size() * grp.sources.size();
       for (std::size_t c = 0; c < cells; ++c) grp.out[c] += params.beta;
@@ -523,11 +547,11 @@ class BackwardWalkerBatchT {
     return fresh;
   }
 
-  /// Per-walker edges relaxed, summed over all lanes and runs,
-  /// comparable with sequential BackwardWalker::edges_relaxed: a sparse
-  /// step bills each lane only for frontier nodes where that lane has
-  /// mass; a dense pass bills every lane its sweep plan's edges (all of
-  /// |E| when unrestricted — the work the blocked kernel performs per
+  /// Per-walker edges relaxed, summed over all lanes and runs — what
+  /// the lanes' walks would cost one at a time: a sparse step bills
+  /// each lane only for frontier nodes where that lane has mass; a
+  /// dense pass bills every lane its sweep plan's edges (all of |E|
+  /// when unrestricted — the work the blocked kernel performs per
   /// lane).
   int64_t edges_relaxed() const { return workspaces_.edges_relaxed(); }
 
@@ -552,7 +576,7 @@ class BackwardWalkerBatchT {
 
   void Step(Workspace& st, int width) const {
     batch_core::StepLanes<batch_core::BackwardStepPolicy, W>(
-        g_, options_.mode, options_.soa_gather, st, width);
+        g_, options_.mode, st, width);
   }
 
   /// Walks one block of `width` targets to depth d, writing score rows
@@ -690,11 +714,10 @@ class BackwardWalkerBatchT {
   batch_core::WorkspacePool<W> workspaces_;
 };
 
-/// The default 8-lane engine (one cache line of doubles per node).
+/// The 8-lane engine (one cache line of doubles per node).
 using BackwardWalkerBatch = BackwardWalkerBatchT<8>;
 
 extern template class BackwardWalkerBatchT<8>;
-extern template class BackwardWalkerBatchT<4>;
 
 }  // namespace dhtjoin
 

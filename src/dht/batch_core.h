@@ -2,27 +2,43 @@
 /// \brief Shared machinery of the batched walk engines, templated on
 /// direction policy and lane width.
 ///
-/// BackwardWalkerBatch and ForwardWalkerBatch used to carry near-
-/// verbatim copies of the same four pieces: the per-block lane
-/// workspace with its zero-invariant pooling, the frontier-adaptive
-/// blocked transition step, the by-(plan, level) block grouping that
-/// turns a mixed-progress target set into uniform-level lane blocks,
-/// and the write-back-under-budget slot commit. This header keeps ONE
-/// copy of each, parameterized by:
+/// This header is the ONE walk engine of the library. Every DHT
+/// evaluation — the backward walks of B-BJ/B-IDJ/PJ-i (Eq. 5), the
+/// forward pair walks of F-BJ/F-IDJ/NL (Sec V-B) — runs through the
+/// pieces kept here: the per-block lane workspace with its
+/// zero-invariant pooling, the frontier-adaptive blocked transition
+/// step, the by-(plan, level) block grouping that turns a
+/// mixed-progress target set into uniform-level lane blocks, and the
+/// write-back-under-budget slot commit. They are parameterized by:
 ///
 ///  * a DIRECTION POLICY (BackwardStepPolicy / ForwardStepPolicy) that
 ///    supplies the frontier degree, the push rows, and — the one
 ///    genuinely different piece — the dense kernel: the backward step
-///    falls back to a sequential gather over the sweep plan's out-rows
-///    (streaming the SoA (to[], prob[]) arrays, Graph::OutTargets),
+///    falls back to a sequential gather over the sweep plan's out-rows,
 ///    while the forward "dense" step is the same frontier push with
 ///    dense billing, because a forward push already visits exactly the
 ///    nonzero rows in canonical order;
-///  * a LANE WIDTH W — 8 by default (one cache line of doubles), with
-///    W = 4 as the narrow-lane option for memory-tight graphs: half
-///    the workspace bytes per block and twice the blocks in flight,
-///    bit-identical results (lanes are independent columns; see the
-///    parity tests).
+///  * a LANE WIDTH W — 8 (one cache line of doubles), the only width
+///    the library instantiates.
+///
+/// FRONTIER-ADAPTIVE STEPS. Each step tracks the block's union support
+/// (nodes with nonzero mass in any lane) and chooses, direction-
+/// optimizing style, between a SPARSE push from the support over its
+/// out-rows (forward) or transposed in-rows (backward) — cost
+/// proportional to the frontier's degree sum — and the DENSE kernel,
+/// restricted to the weak components of the walk's seeds
+/// (Graph::PlanDenseSweep): mass can never leave them, so rows outside
+/// contribute exactly 0.0 and skipping them changes no bit.
+///
+/// NUMERICAL CONTRACT (DESIGN.md §3, §7): the union support is sorted
+/// by CANONICAL (external) id before any step that consumes its order,
+/// and CSR rows are stored in canonical order, so a sparse push visits
+/// sources in exactly the order the dense gather's rows accumulate
+/// them — in every physical layout. Per-lane summation order is
+/// therefore identical across modes, restricted and full sweeps, lane
+/// groupings, thread counts, resumed vs from-scratch walks, and graph
+/// reorderings; the plain dense loops in tests/testing/reference.h sum
+/// in that same order and match every engine bit for bit.
 ///
 /// The fused multi-target scheduler built on top (AdvanceMany in each
 /// engine) collects every live (plan, lane-block, level-group) of a
@@ -54,17 +70,76 @@
 #include <utility>
 #include <vector>
 
-#include "dht/propagate.h"
-#include "dht/walker_state.h"
 #include "graph/graph.h"
 
 namespace dhtjoin {
+
+/// How a walk engine executes each step.
+enum class PropagationMode {
+  kDense,     ///< always the dense kernel (the seed engine)
+  kSparse,    ///< always frontier pushes (can regress on dense frontiers)
+  kAdaptive,  ///< per-step choice by frontier degree sum (the default)
+};
+
+/// Cost multiplier charged to a sparse step when the adaptive policy
+/// compares it against a dense sweep: sparse pushes write to random
+/// destinations while the dense gather streams sequentially, so a sparse
+/// step is only chosen when its edge count is below dense/kSparsePenalty.
+inline constexpr int64_t kSparsePenalty = 4;
+
+/// The adaptive policy, shared by every engine step (and the Y-bound
+/// sweep in dht/bounds.cc) so all of them flip modes at the same
+/// threshold. `dense_cost` is the walk's restricted dense-sweep cost
+/// (SweepPlan::cost — covered edges plus covered rows; n + m when the
+/// restriction is off or the graph is connected).
+///
+/// SupportSizeForcesDense is the cheap early-out: once the support alone
+/// crosses the threshold, the degree sum can only confirm it and the
+/// per-node degree scan would cost real time every step of a saturated
+/// walk. FrontierPrefersDense is the full comparison once the caller has
+/// summed its frontier degrees.
+inline bool SupportSizeForcesDense(std::size_t support_size,
+                                   int64_t dense_cost) {
+  return static_cast<int64_t>(support_size) * kSparsePenalty >= dense_cost;
+}
+inline bool FrontierPrefersDense(std::size_t support_size,
+                                 int64_t frontier_edges,
+                                 int64_t dense_cost) {
+  return (frontier_edges + static_cast<int64_t>(support_size)) *
+             kSparsePenalty >=
+         dense_cost;
+}
+
+/// Autotuned walk-state byte budget for a graph of `num_nodes` nodes.
+///
+/// A saved sparse walk state costs up to ~24 bytes per touched node (a
+/// (node, mass) pair plus its share of the score row), and a walk can
+/// touch every node, so `num_nodes * 24` bounds one saturated snapshot.
+/// The budget leaves room for kAutotuneSnapshotHeadroom of those —
+/// enough for the IDJ schedules' live sets and a serving cache's working
+/// set — clamped so toy graphs still keep a useful pool and huge graphs
+/// do not silently claim the whole machine. Callers treat a configured
+/// budget of 0 as "autotune"; an explicit nonzero budget wins as before.
+inline constexpr std::size_t kAutotuneBytesPerNodeSnapshot = 24;
+inline constexpr std::size_t kAutotuneSnapshotHeadroom = 256;
+
+inline constexpr std::size_t kAutotuneMinBudgetBytes = std::size_t{64} << 20;
+inline constexpr std::size_t kAutotuneMaxBudgetBytes = std::size_t{1} << 30;
+
+inline std::size_t AutotuneStateBudgetBytes(int64_t num_nodes) {
+  const std::size_t per_snapshot =
+      static_cast<std::size_t>(std::max<int64_t>(num_nodes, 1)) *
+      kAutotuneBytesPerNodeSnapshot;
+  const std::size_t budget = per_snapshot * kAutotuneSnapshotHeadroom;
+  return std::clamp(budget, kAutotuneMinBudgetBytes, kAutotuneMaxBudgetBytes);
+}
+
 namespace batch_core {
 
 /// Workspace for one in-flight lane block. All arrays obey the
-/// propagate.h zero-invariant (exactly 0.0 / false outside the support
-/// lists), so a workspace popped from the free pool is clean without
-/// any O(n) reset.
+/// zero-invariant (exactly 0.0 / false outside the support lists), so
+/// a workspace popped from the free pool is clean without any O(n)
+/// reset.
 template <int W>
 struct BlockWorkspace {
   explicit BlockWorkspace(NodeId n)
@@ -190,12 +265,12 @@ class BatchStateBudget {
     return evictions_.load(std::memory_order_relaxed);
   }
 
-  /// Feedback autotuning, mirroring WalkerStatePool::Retune: folds the
-  /// hit/miss/eviction deltas observed since the previous Retune back
-  /// into the budget — double on thrash (evictions with hits losing to
-  /// misses), halve on idle (no evictions, resident under a quarter of
-  /// the budget), clamped to [lo, hi] and never below the resident
-  /// bytes. Evicted snapshots restart bit-identically, so retuning
+  /// Feedback autotuning (the feedback half of the budget autotuner):
+  /// folds the hit/miss/eviction deltas observed since the previous
+  /// Retune back into the budget — double on thrash (evictions with
+  /// hits losing to misses), halve on idle (no evictions, resident
+  /// under a quarter of the budget), clamped to [lo, hi] and never
+  /// below the resident bytes. Evicted snapshots restart bit-identically, so retuning
   /// NEVER changes a result — only step counts. Call between advances
   /// (not concurrently with a running ParallelFor), and only when the
   /// budget came from the autotuner; explicit budgets are the caller's
@@ -316,15 +391,14 @@ struct ForwardStepPolicy {
 /// all lanes of `st` one level, choosing sparse push or dense kernel by
 /// the shared adaptive policy (against the block's restricted dense
 /// cost), and leaves the new support in st.support with st.mass holding
-/// the new masses. The sorted-support contract is deferred exactly as
-/// in the scalar engine: only a step that CONSUMES the support order (a
-/// push) sorts first; the backward dense gather never does.
-/// `soa_gather` streams the split (to[], prob[]) arrays in the gather
-/// instead of the AoS OutEdge stream — identical per-row summation
-/// order, bit-identical results (benchmark A/B switch).
+/// the new masses. The sorted-support contract is deferred: only a
+/// step that CONSUMES the support order (a push) sorts first; the
+/// backward dense gather never does, so a saturated dense walk skips
+/// the per-step sort entirely — the deferral is what keeps reordered
+/// layouts from paying an O(s log s) indirect sort per dense step.
 template <class Policy, int W>
-void StepLanes(const Graph& g, PropagationMode mode, bool soa_gather,
-               BlockWorkspace<W>& st, int width) {
+void StepLanes(const Graph& g, PropagationMode mode, BlockWorkspace<W>& st,
+               int width) {
   bool dense = mode == PropagationMode::kDense;
   if (mode == PropagationMode::kAdaptive) {
     if (SupportSizeForcesDense(st.support.size(), st.plan.cost)) {
@@ -363,8 +437,8 @@ void StepLanes(const Graph& g, PropagationMode mode, bool soa_gather,
       int live_lanes = 0;
       for (int b = 0; b < W; ++b) live_lanes += row[b] != 0.0 ? 1 : 0;
       if (live_lanes == 0) continue;
-      // Bill each lane only for its own frontier: lane b's sequential
-      // walker would relax deg(v) edges iff it has mass at v.
+      // Bill each lane only for its own frontier: lane b's walk alone
+      // would relax deg(v) edges iff it has mass at v.
       relaxed += Policy::FrontierDegree(g, v) * live_lanes;
       for (const auto& e : Policy::PushEdges(g, v)) {
         const NodeId u = Policy::EdgeDest(e);
@@ -381,24 +455,17 @@ void StepLanes(const Graph& g, PropagationMode mode, bool soa_gather,
     st.edges_relaxed +=
         (dense && !Policy::kDenseIsGather) ? st.plan.edges * width : relaxed;
   } else {
-    // Dense backward: sequential gather over the block plan's out-rows,
-    // streaming the SoA (to, prob) arrays. Rows outside the plan (other
-    // weak components) cannot see the support, so skipping them is
-    // exact — the restricted sweep (DESIGN.md §7).
+    // Dense backward: sequential gather over the block plan's out-rows.
+    // Rows outside the plan (other weak components) cannot see the
+    // support, so skipping them is exact — the restricted sweep
+    // (DESIGN.md §7). Each row's sum runs in storage (canonical) order;
+    // rows are independent, so the row iteration order never affects
+    // values.
     st.plan.ForEachRow(g.num_nodes(), [&](NodeId u) {
       double acc[W] = {0.0};
-      if (soa_gather) {
-        std::span<const NodeId> to = g.OutTargets(IntNodeId(u));
-        std::span<const double> prob = g.OutProbs(IntNodeId(u));
-        for (std::size_t e = 0; e < to.size(); ++e) {
-          const double* src = &st.mass[static_cast<std::size_t>(to[e]) * W];
-          for (int b = 0; b < W; ++b) acc[b] += prob[e] * src[b];
-        }
-      } else {
-        for (const OutEdge& e : g.OutEdges(IntNodeId(u))) {
-          const double* src = &st.mass[static_cast<std::size_t>(e.to) * W];
-          for (int b = 0; b < W; ++b) acc[b] += e.prob * src[b];
-        }
+      for (const OutEdge& e : g.OutEdges(IntNodeId(u))) {
+        const double* src = &st.mass[static_cast<std::size_t>(e.to) * W];
+        for (int b = 0; b < W; ++b) acc[b] += e.prob * src[b];
       }
       if (std::any_of(acc, acc + W, [](double x) { return x != 0.0; })) {
         double* dst = &st.next[static_cast<std::size_t>(u) * W];
@@ -415,7 +482,7 @@ void StepLanes(const Graph& g, PropagationMode mode, bool soa_gather,
   for (NodeId u : st.next_support) {
     st.in_next[static_cast<std::size_t>(u)] = 0;
   }
-  // Sorted-support contract (propagate.h), deferred: a push leaves the
+  // Sorted-support contract (file comment), deferred: a push leaves the
   // new support in emission order; the backward dense gather emits rows
   // ascending by internal id — already canonical exactly on an
   // insertion-ordered layout with a gap-free plan.

@@ -34,8 +34,8 @@ double XUpperBound(const DhtParams& params, int l);
 /// Precomputed Y_l^+(P, q) for all q in Q and all l in [0, d].
 class YBoundTable {
  public:
-  /// Runs the d-step non-absorbing sweep from all of P on the shared
-  /// frontier-adaptive engine (dht/propagate.h) — O(d * |E|) worst case,
+  /// Runs the d-step non-absorbing sweep from all of P with the shared
+  /// frontier-adaptive policy (dht/batch_core.h) — O(d * |E|) worst case,
   /// output-sensitive when the sweep mass stays local — and builds
   /// per-q suffix sums (O(d * |Q|) space).
   ///

@@ -1,10 +1,15 @@
 /// \file dht/forward_batch.h
 /// \brief Batched multi-source forward evaluation (SpMM-style).
 ///
+/// A forward walk computes h_d(u, v) by pushing probability mass ALONG
+/// edge directions from the source u with absorption at the target v
+/// (paper Sec V-B): at every step
+///   r'[w] = sum_{x != v, (x,w) in E} r[x] * p_xw ,
+/// and r'[v] is the first-hit probability P_i(u, v) of that step.
 /// Forward first-hit walks are inherently per-PAIR: absorption at the
 /// target entangles the mass trajectory with the target, so one walk
 /// yields one h_d(p, q) — the reason the forward join family (F-BJ,
-/// F-IDJ) is the slow side of the paper's Fig. 9(a). What CAN be shared
+/// F-IDJ, NL) is the slow side of the paper's Fig. 9(a). What CAN be shared
 /// is the edge stream: this evaluator fixes one absorption target q per
 /// block and advances kLaneWidth SOURCE walkers together, the mass state
 /// an n x W row-major matrix pushed over the out-CSR one pass per step.
@@ -19,15 +24,13 @@
 /// core in dht/batch_core.h; this engine supplies the forward direction
 /// policy (push over out-rows; "dense" only changes billing, because a
 /// forward push already visits exactly the nonzero rows in canonical
-/// order) and is a template on the lane width W: ForwardWalkerBatch is
-/// the 8-lane default, ForwardWalkerBatchT<4> the narrow-lane option —
-/// bit-identical results at half the workspace bytes per block.
+/// order); ForwardWalkerBatch is the 8-lane instantiation.
 ///
 /// The union support is kept SORTED at every step boundary, so per-lane
 /// summation order equals the dense sweep's CSR order: scores are
-/// bit-identical across modes, lane groupings, lane widths, thread
-/// counts, and restarted vs resumed walks (DESIGN.md §3), and match the
-/// scalar ForwardWalker exactly.
+/// bit-identical across modes, lane groupings, thread counts, and
+/// restarted vs resumed walks (DESIGN.md §3), and match the dense
+/// reference loop in tests/testing/reference.h exactly.
 ///
 /// Resumable deepening: F-IDJ revisits the same (p, q) pairs at levels
 /// 1, 2, 4, ..., d. ForwardBatchStates holds per-pair sparse snapshots
@@ -77,7 +80,6 @@
 
 #include "dht/batch_core.h"
 #include "dht/params.h"
-#include "dht/propagate.h"
 #include "graph/graph.h"
 #include "obs/trace.h"
 #include "util/deadline.h"
@@ -169,7 +171,7 @@ struct ForwardTargetPlan {
 /// Advances many forward pair-walkers at once; see file comment.
 /// W is the lane width (source walkers advanced together per block, all
 /// absorbed at the block's common target); use the ForwardWalkerBatch
-/// alias (W = 8) unless workspace memory is the constraint.
+/// alias (W = 8).
 template <int W>
 class ForwardWalkerBatchT {
   static_assert(W > 0, "lane width must be positive");
@@ -478,10 +480,10 @@ class ForwardWalkerBatchT {
     return fresh;
   }
 
-  /// Per-walker edges relaxed, summed over all lanes and runs,
-  /// comparable with the scalar ForwardWalker's edges_relaxed: a sparse
-  /// step bills each lane only for frontier nodes where that lane has
-  /// mass; a dense pass bills every lane its sweep plan's edges.
+  /// Per-walker edges relaxed, summed over all lanes and runs — what
+  /// the lanes' walks would cost one at a time: a sparse step bills
+  /// each lane only for frontier nodes where that lane has mass; a
+  /// dense pass bills every lane its sweep plan's edges.
   int64_t edges_relaxed() const { return workspaces_.edges_relaxed(); }
 
   /// Fork/join barriers dispatched by this engine so far (one per Run
@@ -504,7 +506,7 @@ class ForwardWalkerBatchT {
 
   void Step(Workspace& st, int width) const {
     batch_core::StepLanes<batch_core::ForwardStepPolicy, W>(
-        g_, options_.mode, /*soa_gather=*/false, st, width);
+        g_, options_.mode, st, width);
   }
 
   /// Walks one block of `width` sources to depth d with absorption at
@@ -619,11 +621,10 @@ class ForwardWalkerBatchT {
   batch_core::WorkspacePool<W> workspaces_;
 };
 
-/// The default 8-lane engine (one cache line of doubles per node).
+/// The 8-lane engine (one cache line of doubles per node).
 using ForwardWalkerBatch = ForwardWalkerBatchT<8>;
 
 extern template class ForwardWalkerBatchT<8>;
-extern template class ForwardWalkerBatchT<4>;
 
 }  // namespace dhtjoin
 

@@ -22,6 +22,8 @@
 #ifndef DHTJOIN_DHT_PARAMS_H_
 #define DHTJOIN_DHT_PARAMS_H_
 
+#include <cstdint>
+
 #include "util/status.h"
 
 namespace dhtjoin {
@@ -78,6 +80,13 @@ struct DhtParams {
   /// Score of an unreachable pair (the floor of h_d).
   double FloorScore() const { return beta; }
 };
+
+/// Content fingerprint of a measure configuration (the parameter double
+/// bits, the first-hit flag, and the truncation depth d). Paired with
+/// the graph fingerprint in every cluster handshake and request and in
+/// every warm-state snapshot header, so neither a worker nor a restored
+/// checkpoint serving a different measure can be mistaken for this one.
+uint64_t ParamsFingerprint(const DhtParams& params, int d);
 
 }  // namespace dhtjoin
 

@@ -11,7 +11,7 @@
 /// compressed sparse row layout. The transposed rows let a backward
 /// propagation step push mass from a sparse frontier — next[u] +=
 /// p_uv * mass[v] over only the in-edges of frontier nodes v — instead
-/// of gathering over every node's out-row (see dht/propagate.h).
+/// of gathering over every node's out-row (see dht/batch_core.h).
 ///
 /// PHYSICAL LAYOUT vs EXTERNAL IDS (DESIGN.md §7). A Graph may carry a
 /// cache-conscious node permutation (graph/reorder.h): the CSR then
@@ -22,10 +22,10 @@
 ///    InEdges, degrees, HasEdge — speak internal ids.
 ///  * EXTERNAL ids are the construction-time ids: what datasets,
 ///    query node sets, TopK results, and cache keys mean by a "node".
-/// The walkers and batch engines translate external -> internal at
-/// their public boundaries (and back for anything they emit), so every
-/// layer above them is layout-oblivious. On a never-reordered graph the
-/// two spaces coincide and every translation is the identity.
+/// The walk engines translate external -> internal at their public
+/// boundaries (and back for anything they emit), so every layer above
+/// them is layout-oblivious. On a never-reordered graph the two spaces
+/// coincide and every translation is the identity.
 ///
 /// Determinism across layouts: edge rows are stored sorted by the
 /// CANONICAL (external) id of the other endpoint, and the propagation
@@ -152,26 +152,6 @@ class Graph {
     DHTJOIN_DCHECK(ContainsRaw(u.value()));
     return {out_weights_.data() + out_offsets_[u.value()],
             out_weights_.data() + out_offsets_[u.value() + 1]};
-  }
-
-  /// SoA mirror of OutEdges(u): targets only, positionally aligned with
-  /// OutProbs(u). The dense backward gather streams the whole out-CSR
-  /// end to end and reads nothing but (to, prob); the split arrays cut
-  /// its stream from 16 padded bytes/edge to 12 (4 + 8) — see the
-  /// ROADMAP item gated in bench_reorder. Sparse pushes keep the AoS
-  /// OutEdges stream: their per-row access touches one row at a time,
-  /// where a second array would only double the cache-line traffic.
-  std::span<const NodeId> OutTargets(IntNodeId u) const {
-    DHTJOIN_DCHECK(ContainsRaw(u.value()));
-    return {gather_to_.data() + out_offsets_[u.value()],
-            gather_to_.data() + out_offsets_[u.value() + 1]};
-  }
-
-  /// SoA mirror of OutEdges(u): transition probabilities only.
-  std::span<const double> OutProbs(IntNodeId u) const {
-    DHTJOIN_DCHECK(ContainsRaw(u.value()));
-    return {gather_prob_.data() + out_offsets_[u.value()],
-            gather_prob_.data() + out_offsets_[u.value() + 1]};
   }
 
   /// Incoming arcs of internal node `u` (sources I_u with their
@@ -317,23 +297,9 @@ class Graph {
     ReachIndex reach;
   };
 
-  /// Rebuilds the SoA gather mirrors (gather_to_, gather_prob_) from
-  /// out_edges_; every Graph producer calls this once after the out-CSR
-  /// is final.
-  void BuildGatherArrays() {
-    gather_to_.resize(out_edges_.size());
-    gather_prob_.resize(out_edges_.size());
-    for (std::size_t e = 0; e < out_edges_.size(); ++e) {
-      gather_to_[e] = out_edges_[e].to;
-      gather_prob_[e] = out_edges_[e].prob;
-    }
-  }
-
   std::vector<int64_t> out_offsets_;  // size num_nodes()+1
   std::vector<OutEdge> out_edges_;    // sorted by canonical target per row
   std::vector<double> out_weights_;   // positionally aligned with out_edges_
-  std::vector<NodeId> gather_to_;     // SoA mirrors of out_edges_ for the
-  std::vector<double> gather_prob_;   // dense gather (see OutTargets)
   std::vector<int64_t> in_offsets_;   // size num_nodes()+1
   std::vector<InEdge> in_edges_;      // sorted by canonical source per row
   std::vector<NodeId> new_to_old_;    // empty = insertion layout

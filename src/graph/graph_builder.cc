@@ -109,7 +109,6 @@ Result<Graph> GraphBuilder::Build() {
 
   edges_.clear();
   edges_.shrink_to_fit();
-  g.BuildGatherArrays();
   g.caches_ = std::make_shared<Graph::LazyCaches>();
   return g;
 }

@@ -23,15 +23,15 @@
 ///    `Graph::ToExternal` (and the bulk `Graph::MapToInternal`).
 ///
 /// Both wrappers are zero-cost: same size, alignment, and triviality
-/// as the raw `NodeId` (static_asserts below), so spans of them can be
-/// reinterpreted over contiguous raw-id storage (`RawIds`, `AsExtIds`,
-/// `AsIntIds`) without copying — hot interiors keep raw `NodeId`
-/// arrays, the typed views exist at the API boundary only.
+/// as the raw `NodeId` (static_asserts below), so typed spans can be
+/// viewed as contiguous raw-id storage (`RawIds`) without copying —
+/// hot interiors keep raw `NodeId` arrays, the typed views exist at
+/// the API boundary only.
 ///
-/// Layering note: code BELOW the remap boundary (Propagator, the
-/// batch-core kernels, SweepPlan, ReachIndex) deliberately stays on
-/// raw `NodeId` — everything there is internal-space by construction
-/// and indexes vectors on every line. The strong types guard the
+/// Layering note: code BELOW the remap boundary (the batch-core
+/// kernels, the Y-bound sweep, SweepPlan, ReachIndex) deliberately
+/// stays on raw `NodeId` — everything there is internal-space by
+/// construction and indexes vectors on every line. The strong types guard the
 /// boundaries where the two spaces meet, not the single-space inner
 /// loops.
 
@@ -126,18 +126,6 @@ template <class Tag>
 inline std::span<const NodeId> RawIds(
     const std::vector<StrongNodeId<Tag>>& ids) {
   return RawIds(std::span<const StrongNodeId<Tag>>(ids));
-}
-
-/// Reinterpret raw contiguous ids as EXTERNAL-typed (zero copy). Only
-/// for storage that is documented to hold external ids.
-inline std::span<const ExtNodeId> AsExtIds(std::span<const NodeId> raw) {
-  return {reinterpret_cast<const ExtNodeId*>(raw.data()), raw.size()};
-}
-
-/// Reinterpret raw contiguous ids as INTERNAL-typed (zero copy). Only
-/// for storage that is documented to hold internal ids.
-inline std::span<const IntNodeId> AsIntIds(std::span<const NodeId> raw) {
-  return {reinterpret_cast<const IntNodeId*>(raw.data()), raw.size()};
 }
 
 /// Copy-wrap a raw external-id vector (for call sites that need owned

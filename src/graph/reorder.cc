@@ -181,7 +181,6 @@ Result<Graph> ApplyNodePermutation(const Graph& g,
           InEdge{u, edge.prob};
     }
   }
-  out.BuildGatherArrays();
   return out;
 }
 

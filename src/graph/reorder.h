@@ -20,8 +20,8 @@
 ///    scattered reads for mesh-like regions.
 ///
 /// The reordered Graph carries old<->new remap tables (Graph::
-/// ToInternal / ToExternal); the walkers and batch engines translate at
-/// their public boundaries, and every engine keeps floating-point
+/// ToInternal / ToExternal); the walk engines translate at their
+/// public boundaries, and every engine keeps floating-point
 /// accumulation in CANONICAL (external-id) order, so all scores,
 /// rankings, and tie-breaks are bit-identical to the insertion-ordered
 /// graph (DESIGN.md §7). `bench_reorder` gates the speedup and the

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "dht/bounds.h"
-#include "dht/walker_state.h"
 #include "obs/trace.h"
 #include "util/top_k.h"
 

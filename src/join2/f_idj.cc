@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "dht/walker_state.h"
 #include "obs/trace.h"
 #include "util/top_k.h"
 

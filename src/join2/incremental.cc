@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "dht/backward_batch.h"
-
 #include "obs/trace.h"
 #include "util/top_k.h"
 
@@ -25,15 +23,19 @@ IncrementalTwoWayJoin::IncrementalTwoWayJoin(const Graph& g,
       P_(P),
       Q_(Q),
       options_(options),
-      walker_(g),
-      walker_states_(options.state_budget_bytes > 0
-                         ? options.state_budget_bytes
-                         : AutotuneStateBudgetBytes(g.num_nodes())),
+      batch_(g, {.num_threads = options.state_cache != nullptr ? 1 : 0}),
+      states_(Q.size(), options.state_budget_bytes > 0
+                            ? options.state_budget_bytes
+                            : AutotuneStateBudgetBytes(g.num_nodes())),
+      imported_level_(Q.size(), 0),
       autotune_budget_(options.state_budget_bytes == 0) {
+  if (options_.state_cache != nullptr) {
+    cache_ = options_.state_cache->Pin(P_.nodes());
+  }
   if (options_.bound == UpperBoundKind::kY) {
     ybound_ = std::make_unique<YBoundTable>(g, params, d, P, Q);
-    // Charge what the S_i(P, q) sweep actually relaxed (it runs on the
-    // shared adaptive engine now, so a flat d * |E| would overcount).
+    // Charge what the S_i(P, q) sweep actually relaxed (it runs
+    // frontier-adaptive steps, so a flat d * |E| would overcount).
     stats_.walk_steps += ybound_->edges_relaxed();
   }
   q_level_.assign(Q_.size(), 0);
@@ -42,6 +44,11 @@ IncrementalTwoWayJoin::IncrementalTwoWayJoin(const Graph& g,
     residual_handle_[qi] =
         residual_.Push(params_.beta + Remainder(0, qi), qi);
   }
+}
+
+IncrementalTwoWayJoin::~IncrementalTwoWayJoin() {
+  if (cache_ == nullptr) return;
+  for (std::size_t qi = 0; qi < Q_.size(); ++qi) Release(qi);
 }
 
 Result<std::unique_ptr<IncrementalTwoWayJoin>> IncrementalTwoWayJoin::Create(
@@ -70,75 +77,73 @@ double IncrementalTwoWayJoin::Remainder(int l, std::size_t qi) const {
                                               : params_.XBound(l);
 }
 
-void IncrementalTwoWayJoin::DeepenTarget(std::size_t qi, int new_level) {
-  DHTJOIN_CHECK_GT(new_level, q_level_[qi]);
+void IncrementalTwoWayJoin::Release(std::size_t qi) {
+  BackwardBatchSnapshot snap;
+  if (cache_ != nullptr && states_.level(qi) > imported_level_[qi] &&
+      states_.Take(qi, &snap)) {
+    cache_->Store(Q_[qi], std::move(snap));
+  } else {
+    states_.Drop(qi);
+  }
+}
+
+int64_t IncrementalTwoWayJoin::FoldEngineCounters() {
+  stats_.walk_steps += batch_.edges_relaxed() - edges_seen_;
+  edges_seen_ = batch_.edges_relaxed();
+  const int64_t barriers = batch_.scheduler_barriers() - barriers_seen_;
+  barriers_seen_ = batch_.scheduler_barriers();
+  stats_.pool_barriers += barriers;
+  stats_.state_hits += states_.hits() - hits_seen_;
+  hits_seen_ = states_.hits();
+  stats_.state_misses += states_.misses() - misses_seen_;
+  misses_seen_ = states_.misses();
+  stats_.state_evictions = states_.evictions();
+  stats_.state_resident_bytes = static_cast<int64_t>(states_.bytes());
+  return barriers;
+}
+
+template <typename OnRow>
+void IncrementalTwoWayJoin::Deepen(std::span<const std::size_t> qis,
+                                   int new_level, OnRow&& on_row) {
   DHTJOIN_CHECK_LE(new_level, d_);
-  // Feedback autotune: every so many walks, fold the pool's OBSERVED
-  // hit/eviction behaviour back into its byte budget (grow on thrash,
+  std::vector<ExtNodeId> nodes(qis.size());
+  for (std::size_t i = 0; i < qis.size(); ++i) {
+    const std::size_t qi = qis[i];
+    DHTJOIN_CHECK_GT(new_level, q_level_[qi]);
+    nodes[i] = Q_[qi];
+    if (cache_ == nullptr || states_.level(qi) > 0) continue;
+    auto snap = cache_->Fetch(nodes[i]);
+    if (snap != nullptr && snap->level <= new_level &&
+        snap->row.size() == P_.size() && states_.Import(qi, *snap)) {
+      imported_level_[qi] = snap->level;
+    }
+  }
+  // Depth d is final for the truncated measure, so a level-d state is
+  // only worth saving when a cache will keep it for later queries.
+  const bool final = new_level >= d_;
+  stats_.walks_started += batch_.AdvanceChunked(
+      params_, new_level, nodes, qis, P_.nodes(), states_,
+      [&](std::size_t i, const double* row) {
+        ApplyRow(qis[i], new_level, row);
+        on_row(i, row);
+      },
+      /*save_states=*/!final || cache_ != nullptr);
+  if (final) {
+    for (std::size_t qi : qis) Release(qi);
+  }
+}
+
+void IncrementalTwoWayJoin::DeepenTarget(std::size_t qi, int new_level) {
+  // Feedback autotune: every so many walks, fold the states' OBSERVED
+  // hit/eviction behaviour back into their byte budget (grow on thrash,
   // shrink on idle). Explicit budgets are left alone. Shrink-evicted
   // states restart bit-identically, so this never changes a result.
   constexpr int64_t kRetunePeriod = 64;
   if (autotune_budget_ && ++deepen_calls_ % kRetunePeriod == 0) {
-    walker_states_.Retune();
+    states_.Retune();
   }
-  ExtNodeId q = Q_[qi];
-  int64_t edges_before = walker_.edges_relaxed();
-  // Resume from the target's saved state when the pool still holds it
-  // at the current level; failing that, try the cross-query provider
-  // (the serving cache); otherwise restart (bit-identical scores by
-  // DESIGN.md §3, just 2x the steps for that target).
-  BackwardWalkerState* saved = walker_states_.Find(static_cast<uint64_t>(qi));
-  if (saved != nullptr && saved->level == q_level_[qi] &&
-      q_level_[qi] > 0) {
-    walker_.Restore(params_, *saved);
-    walker_.Advance(new_level - saved->level);
-    stats_.state_hits++;
-  } else {
-    std::shared_ptr<const BackwardWalkerState> external;
-    if (options_.snapshots != nullptr) {
-      external = options_.snapshots->Fetch(q);
-    }
-    if (external != nullptr && external->target == q && external->level > 0 &&
-        external->level <= new_level) {
-      walker_.Restore(params_, *external);
-      walker_.Advance(new_level - external->level);
-      stats_.state_hits++;
-    } else {
-      walker_.Reset(params_, q);
-      walker_.Advance(new_level);
-      stats_.walks_started++;
-      stats_.state_misses++;
-    }
-  }
-  stats_.walk_steps += walker_.edges_relaxed() - edges_before;
-  // One Save serves both consumers; the provider copy is skipped
-  // entirely when its cache already holds an equal-or-deeper walk
-  // (WantsLevel — the common warm case).
-  const bool offer = options_.snapshots != nullptr &&
-                     options_.snapshots->WantsLevel(q, new_level);
-  if (new_level < d_) {
-    BackwardWalkerState snapshot;
-    walker_.Save(&snapshot);
-    if (offer) options_.snapshots->Store(q, snapshot);
-    walker_states_.Put(static_cast<uint64_t>(qi), std::move(snapshot));
-  } else {
-    // Depth d is final for the truncated measure; the local state is
-    // dead (the provider may keep a copy for other queries).
-    walker_states_.Erase(static_cast<uint64_t>(qi));
-    if (offer) {
-      BackwardWalkerState snapshot;
-      walker_.Save(&snapshot);
-      options_.snapshots->Store(q, std::move(snapshot));
-    }
-  }
-  stats_.state_evictions = walker_states_.evictions() + schedule_evictions_;
-  stats_.state_resident_bytes = static_cast<int64_t>(walker_states_.bytes());
-
-  row_buffer_.resize(P_.size());
-  for (std::size_t pi = 0; pi < P_.size(); ++pi) {
-    row_buffer_[pi] = walker_.Score(P_[pi]);
-  }
-  ApplyRow(qi, new_level, row_buffer_.data());
+  Deepen({&qi, 1}, new_level, [](std::size_t, const double*) {});
+  FoldEngineCounters();
 }
 
 void IncrementalTwoWayJoin::ApplyRow(std::size_t qi, int new_level,
@@ -195,106 +200,25 @@ void IncrementalTwoWayJoin::RunInitialSchedule(std::size_t m) {
   for (std::size_t qi = 0; qi < Q_.size(); ++qi) live[qi] = qi;
   stats_.live_per_iteration.push_back(static_cast<int64_t>(live.size()));
 
-  if (options_.snapshots != nullptr) {
-    // Scalar schedule, kept for the serving path: the provider's
-    // snapshots are scalar walks with a full score surface (reusable
-    // under ANY query's P), which only the scalar walker can produce
-    // and consume — DeepenTarget imports/offers them per target.
-    for (int l = 1; l < d_; l *= 2) {
-      obs::ScopedSpan round_span(trace, "round");
-      round_span.SetAttr("level", int64_t{l});
-      round_span.SetAttr("frontier", static_cast<int64_t>(live.size()));
-      std::vector<double> q_upper(live.size(), kNegInf);
-      for (std::size_t i = 0; i < live.size(); ++i) {
-        std::size_t qi = live[i];
-        DeepenTarget(qi, l);
-        // qUpper = max_p h_l(p, q) + U_l^+; the walker still holds the
-        // scores of this target.
-        double pmax = params_.beta;
-        for (ExtNodeId p : P_) {
-          if (p == Q_[qi]) continue;
-          pmax = std::max(pmax, walker_.Score(p));
-        }
-        q_upper[i] = pmax + Remainder(l, qi);
-      }
-      double tm = LowerThreshold(m);
-      std::vector<std::size_t> survivors;
-      survivors.reserve(live.size());
-      for (std::size_t i = 0; i < live.size(); ++i) {
-        if (q_upper[i] >= tm) survivors.push_back(live[i]);
-      }
-      stats_.pruned_fraction_per_iteration.push_back(
-          1.0 - static_cast<double>(survivors.size()) /
-                    static_cast<double>(Q_.size()));
-      live.swap(survivors);
-      stats_.live_per_iteration.push_back(static_cast<int64_t>(live.size()));
-      round_span.SetAttr("survivors", static_cast<int64_t>(live.size()));
-    }
-    obs::ScopedSpan final_span(trace, "final");
-    final_span.SetAttr("level", int64_t{d_});
-    final_span.SetAttr("frontier", static_cast<int64_t>(live.size()));
-    for (std::size_t qi : live) {
-      if (q_level_[qi] < d_) DeepenTarget(qi, d_);
-    }
-    return;
-  }
-
-  // Batch-driven eager schedule (the default): the whole live set
-  // deepens through the fused core — one fork/join barrier per round
-  // instead of one scalar walk per target per level — with per-target
-  // resumable states local to the schedule. Next() keeps the scalar
-  // resume pool: its single-target refinements would pay the full
-  // W-lane stride for one live lane. A target pruned here restarts
-  // from scratch if Next() later re-activates it — bit-identical
-  // scores, just 2x the steps for that target (DESIGN.md §3, §8).
-  BackwardWalkerBatch batch(g_);
-  BackwardBatchStates batch_states(Q_.size(), walker_states_.max_bytes());
-  // All counter folds from the batch run through this one delta-based
-  // accountant, called once per deepening round. The engine counters
-  // (edges, barriers, resume hits/misses) are cumulative on the batch
-  // objects; folding deltas here keeps each event counted exactly once
-  // — the same "one hit or miss per (target, round) resume attempt"
-  // semantics the scalar DeepenTarget implements with its manual
-  // increments — and makes a second fold of the same round impossible
-  // (the old one-shot `+= batch_states.hits()` after the whole
-  // schedule double-counts as soon as anything reads or folds
-  // mid-schedule).
-  int64_t edges_seen = 0;
-  int64_t barriers_seen = 0;
-  int64_t hits_seen = 0;
-  int64_t misses_seen = 0;
-  auto account = [&] {
-    stats_.walk_steps += batch.edges_relaxed() - edges_seen;
-    edges_seen = batch.edges_relaxed();
-    stats_.barriers_per_iteration.push_back(batch.scheduler_barriers() -
-                                            barriers_seen);
-    stats_.pool_barriers += batch.scheduler_barriers() - barriers_seen;
-    barriers_seen = batch.scheduler_barriers();
-    stats_.state_hits += batch_states.hits() - hits_seen;
-    hits_seen = batch_states.hits();
-    stats_.state_misses += batch_states.misses() - misses_seen;
-    misses_seen = batch_states.misses();
-  };
+  // The whole live set deepens through the fused core — one fork/join
+  // barrier per round instead of one walk per target per level. A
+  // target pruned here keeps its state, so a later Next() refinement
+  // resumes it rather than restarting (DESIGN.md §3, §8).
   for (int l = 1; l < d_; l *= 2) {
     obs::ScopedSpan round_span(trace, "round");
     round_span.SetAttr("level", int64_t{l});
     round_span.SetAttr("frontier", static_cast<int64_t>(live.size()));
-    std::vector<ExtNodeId> nodes(live.size());
-    for (std::size_t i = 0; i < live.size(); ++i) nodes[i] = Q_[live[i]];
     std::vector<double> q_upper(live.size(), kNegInf);
-    stats_.walks_started += batch.AdvanceChunked(
-        params_, l, nodes, live, P_.nodes(), batch_states,
-        [&](std::size_t i, const double* row) {
-          const std::size_t qi = live[i];
-          ApplyRow(qi, l, row);
-          double pmax = params_.beta;
-          for (std::size_t pi = 0; pi < P_.size(); ++pi) {
-            if (P_[pi] == Q_[qi]) continue;
-            pmax = std::max(pmax, row[pi]);
-          }
-          q_upper[i] = pmax + Remainder(l, qi);
-        });
-    account();
+    Deepen(live, l, [&](std::size_t i, const double* row) {
+      const std::size_t qi = live[i];
+      double pmax = params_.beta;
+      for (std::size_t pi = 0; pi < P_.size(); ++pi) {
+        if (P_[pi] == Q_[qi]) continue;
+        pmax = std::max(pmax, row[pi]);
+      }
+      q_upper[i] = pmax + Remainder(l, qi);
+    });
+    stats_.barriers_per_iteration.push_back(FoldEngineCounters());
     double tm = LowerThreshold(m);
     std::vector<std::size_t> survivors;
     survivors.reserve(live.size());
@@ -307,13 +231,9 @@ void IncrementalTwoWayJoin::RunInitialSchedule(std::size_t m) {
     live.swap(survivors);
     stats_.live_per_iteration.push_back(static_cast<int64_t>(live.size()));
     round_span.SetAttr("survivors", static_cast<int64_t>(live.size()));
-    // Same feedback autotuning the scalar pool gets: grow the schedule's
-    // state budget on thrash, shrink on idle (never changes a result).
-    if (autotune_budget_) batch_states.Retune();
+    if (autotune_budget_) states_.Retune();
   }
-  // Final exact-d pass for survivors; their states die with the
-  // schedule (depth d is final for the truncated measure), so skip the
-  // write-back.
+  // Final exact-d pass for survivors.
   std::vector<std::size_t> need;
   for (std::size_t qi : live) {
     if (q_level_[qi] < d_) need.push_back(qi);
@@ -322,21 +242,9 @@ void IncrementalTwoWayJoin::RunInitialSchedule(std::size_t m) {
     obs::ScopedSpan final_span(trace, "final");
     final_span.SetAttr("level", int64_t{d_});
     final_span.SetAttr("frontier", static_cast<int64_t>(need.size()));
-    std::vector<ExtNodeId> nodes(need.size());
-    for (std::size_t i = 0; i < need.size(); ++i) nodes[i] = Q_[need[i]];
-    stats_.walks_started += batch.AdvanceChunked(
-        params_, d_, nodes, need, P_.nodes(), batch_states,
-        [&](std::size_t i, const double* row) {
-          ApplyRow(need[i], d_, row);
-        },
-        /*save_states=*/false);
-    account();
+    Deepen(need, d_, [](std::size_t, const double*) {});
+    stats_.barriers_per_iteration.push_back(FoldEngineCounters());
   }
-  // Remember the schedule's evictions: DeepenTarget refreshes
-  // stats_.state_evictions from the scalar pool on every later call,
-  // using this same formula — keep the two sites identical.
-  schedule_evictions_ = batch_states.evictions();
-  stats_.state_evictions = walker_states_.evictions() + schedule_evictions_;
 }
 
 std::optional<ScoredPair> IncrementalTwoWayJoin::Next() {

@@ -32,13 +32,13 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
-#include "dht/backward.h"
+#include "dht/backward_batch.h"
 #include "dht/bounds.h"
-#include "dht/walker_state.h"
 #include "join2/two_way_join.h"
 #include "util/deadline.h"
 #include "util/mutable_heap.h"
@@ -51,14 +51,17 @@ class IncrementalTwoWayJoin {
  public:
   struct Options {
     UpperBoundKind bound = UpperBoundKind::kY;
-    /// Byte budget for the per-target resume pool; 0 means autotune
+    /// Byte budget for the per-target resume states; 0 means autotune
     /// from graph size (AutotuneStateBudgetBytes).
     std::size_t state_budget_bytes = 0;
-    /// Optional cross-query snapshot source (the serving cache). On a
-    /// local pool miss, DeepenTarget resumes from the provider's saved
-    /// walk instead of restarting, and offers its own walks back —
-    /// bit-identical either way (DESIGN.md §3). Must outlive the join.
-    BackwardSnapshotProvider* snapshots = nullptr;
+    /// Optional cross-query walk-state cache (the serving cache). A
+    /// target with no local state resumes from the cache's walk over
+    /// this join's P when that walk is no deeper than the level asked
+    /// for, and the join's own walks are offered back — bit-identical
+    /// either way (DESIGN.md §3, §6). Attaching a cache also pins the
+    /// engine to one thread: the serving layer parallelizes across
+    /// sessions, not inside one. Must outlive the join.
+    BackwardStateCache* state_cache = nullptr;
     /// Used for TRACING only (obs::TraceOf): the initial schedule
     /// records per-round spans (level, frontier, survivors) on the
     /// attached trace. Deadline/cancel are deliberately NOT polled in
@@ -78,6 +81,10 @@ class IncrementalTwoWayJoin {
   static Result<std::unique_ptr<IncrementalTwoWayJoin>> Create(
       const Graph& g, const DhtParams& params, int d, const NodeSet& P,
       const NodeSet& Q, std::size_t m);
+
+  /// Offers every local walk state deeper than what the cache supplied
+  /// to the attached cache (if any).
+  ~IncrementalTwoWayJoin();
 
   /// Next pair in descending score order; nullopt when every valid pair
   /// has been returned.
@@ -102,25 +109,38 @@ class IncrementalTwoWayJoin {
   /// Remainder bound U_l^+ for target index qi at depth l.
   double Remainder(int l, std::size_t qi) const;
 
-  /// Walks target qi to depth `new_level` (> current), inserting /
-  /// tightening F entries and refreshing the residual bound.
+  /// Walks the targets Q[qis[i]] to depth `new_level` (each above its
+  /// current level) in one fused engine call, inserting / tightening
+  /// their F entries and refreshing their residual bounds. Each row is
+  /// also handed to on_row(i, row) after ApplyRow. A target with no
+  /// local state first loads the attached cache's walk when that walk
+  /// is at or below `new_level` — the rule that keeps F, and so every
+  /// answer, independent of the cache.
+  template <typename OnRow>
+  void Deepen(std::span<const std::size_t> qis, int new_level,
+              OnRow&& on_row);
+
+  /// Single-target Deepen (one live lane), the refinement step of Next().
   void DeepenTarget(std::size_t qi, int new_level);
+
+  /// Hands target qi's local state to the cache (when one is attached
+  /// and the state is deeper than what the cache supplied), else drops
+  /// it.
+  void Release(std::size_t qi);
+
+  /// Folds the engine's cumulative counters into stats_ as deltas —
+  /// one fold per engine call, so no event is counted twice. Returns
+  /// the fork/join barriers dispatched since the previous fold.
+  int64_t FoldEngineCounters();
 
   /// The F-maintenance half of a deepening: folds target qi's score row
   /// over P (h_{new_level}(P[pi], Q[qi]) at row[pi]) into the candidate
-  /// heap and residual bound, and records the new level. Shared by the
-  /// scalar DeepenTarget and the batch-driven initial schedule.
+  /// heap and residual bound, and records the new level.
   void ApplyRow(std::size_t qi, int new_level, const double* row);
 
   /// Runs the B-IDJ deepening schedule with pruning threshold from the
-  /// m-th best lower bound. Driven by the fused batch engine
-  /// (BackwardWalkerBatch::AdvanceMany via AdvanceChunked) — one
-  /// fork/join per deepening round over the whole live set — except
-  /// when a cross-query snapshot provider is attached: provider
-  /// snapshots are SCALAR walks (a full score surface, reusable under
-  /// any P), which a batch row over this query's P cannot produce, so
-  /// that path keeps the scalar walker and its cache import/export.
-  /// Scores are identical either way (DESIGN.md §3).
+  /// m-th best lower bound, on the fused batch engine — one fork/join
+  /// per deepening round over the whole live set.
   void RunInitialSchedule(std::size_t m);
 
   /// m-th largest lower bound currently in F (-inf when |F| < m).
@@ -133,20 +153,26 @@ class IncrementalTwoWayJoin {
   const NodeSet Q_;
   Options options_;
   std::unique_ptr<YBoundTable> ybound_;
-  BackwardWalker walker_;
-  // Saved per-target walk states so DeepenTarget resumes from a
-  // target's current level instead of replaying it from scratch (the
-  // paper's min(2l, d) refinement revisits the same targets over and
-  // over). LRU under a byte budget; an evicted target restarts with
-  // bit-identical results (DESIGN.md §3). When the budget came from the
-  // autotuner (Options::state_budget_bytes == 0), the pool's observed
-  // hit/eviction counters feed back into it periodically
-  // (WalkerStatePool::Retune): grow on thrash, shrink on idle.
-  WalkerStatePool<BackwardWalkerState> walker_states_;
+  // One engine and one per-target state slot (slot = index in Q) for
+  // the join's whole lifetime: the top-m schedule and every Next()
+  // refinement resume from a target's current level instead of
+  // replaying it (the paper's min(2l, d) rule revisits the same targets
+  // over and over). Slots live under a byte budget; an evicted target
+  // restarts with bit-identical results (DESIGN.md §3). When the budget
+  // came from the autotuner (Options::state_budget_bytes == 0), the
+  // observed hit/eviction counters feed back into it periodically
+  // (BatchStateBudget::Retune): grow on thrash, shrink on idle.
+  BackwardWalkerBatch batch_;
+  BackwardBatchStates states_;
+  std::unique_ptr<BackwardStateCache::Pinned> cache_;
+  std::vector<int> imported_level_;  // cache-supplied level per target
   bool autotune_budget_ = false;
   int64_t deepen_calls_ = 0;
-  int64_t schedule_evictions_ = 0;  // from the batch-driven top-m setup
-  std::vector<double> row_buffer_;  // scratch: one score row over P_
+  // Engine counters already folded into stats_ (FoldEngineCounters).
+  int64_t edges_seen_ = 0;
+  int64_t barriers_seen_ = 0;
+  int64_t hits_seen_ = 0;
+  int64_t misses_seen_ = 0;
 
   MutableHeap<PairEntry> f_;  // keyed by upper bound h+
   std::unordered_map<uint64_t, MutableHeap<PairEntry>::Handle> index_;

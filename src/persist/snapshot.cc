@@ -7,16 +7,11 @@
 #include <cerrno>
 #include <cstring>
 
-#include "cluster/frame.h"
-#include "cluster/wire.h"
+#include "util/byte_codec.h"
 
 namespace dhtjoin::persist {
 
 namespace {
-
-using cluster::ByteReader;
-using cluster::ByteWriter;
-using cluster::FrameChecksum;
 
 /// Directory component of `path` ("." when none) — the fsync target
 /// that makes the rename durable.

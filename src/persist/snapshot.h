@@ -8,7 +8,7 @@
 /// ParamsFingerprint, section count, header checksum) followed by
 /// length-prefixed sections, each carrying its own 64-bit checksum —
 /// the same SplitMix64-chained FrameChecksum the wire frames use
-/// (cluster/frame.h), so disk corruption and wire corruption are
+/// (util/byte_codec.h), so disk corruption and wire corruption are
 /// caught by one verified primitive.
 ///
 /// The writer is crash-safe by construction: bytes go to a temp file

@@ -6,10 +6,10 @@
 /// snapshots die with the join object, and the Y-bound sweep is repaid
 /// per query. ScoreCache is the shared, thread-safe store that lets a
 /// stream of queries amortize all of that: a sharded, byte-budgeted LRU
-/// generalizing dht/walker_state.h's WalkerStatePool, keyed exactly by
-/// everything a payload's bits depend on — graph fingerprint, DhtParams
-/// coefficients, truncation depth d where it matters, walk direction,
-/// and the seed node / seed node sets (see CacheKey).
+/// keyed exactly by everything a payload's bits depend on — graph
+/// fingerprint, DhtParams coefficients, truncation depth d where it
+/// matters, payload kind, and the seed node / seed node sets (see
+/// CacheKey).
 ///
 /// Keying is EXACT, not probabilistic: besides the 64-bit content
 /// digests used for hashing, a key carries shared_ptr copies of its
@@ -19,8 +19,9 @@
 /// this is what makes a warm hit BYTE-safe: a resumed or reused payload
 /// is bit-identical to what a cold query would recompute.
 ///
-/// Eviction is always safe (the WalkerStatePool argument): a dropped
-/// entry costs the next query time, never correctness. Entries are
+/// Eviction is always safe: by the engine's determinism a dropped entry
+/// is recomputed bit-identically, so eviction costs the next query
+/// time, never correctness. Entries are
 /// handed out as shared_ptr<const ...>, so a reader holding a payload
 /// is unaffected by concurrent eviction.
 
@@ -39,7 +40,6 @@
 #include <utility>
 #include <vector>
 
-#include "dht/backward.h"
 #include "dht/backward_batch.h"
 #include "dht/bounds.h"
 #include "dht/params.h"
@@ -61,21 +61,26 @@ uint64_t DigestNodes(std::span<const ExtNodeId> nodes);
 /// What a cache entry holds; part of the key, so one cache serves all
 /// payload kinds without any chance of cross-kind aliasing.
 enum class CachePayload : uint8_t {
-  kBackwardSnapshot,  ///< scalar BackwardWalkerState of one target
-  kBatchState,        ///< BackwardBatchSnapshot of (target, source set)
-  kEdgeTable,         ///< NL's |L| x |R| forward score table
-  kYBound,            ///< YBoundTable of (P, Q) at depth d
+  kBatchState,  ///< BackwardBatchSnapshot of (target, source set)
+  kEdgeTable,   ///< NL's |L| x |R| forward score table
+  kYBound,      ///< YBoundTable of (P, Q) at depth d
 };
 
 /// Exact cache key. `d` participates only for payloads whose bits
-/// depend on the truncation depth (kEdgeTable, kYBound); level-carrying
-/// walk states (kBackwardSnapshot, kBatchState) set it to 0 so services
-/// running different depths share them. Seed sets are carried by
+/// depend on the truncation depth (kEdgeTable, kYBound). Walk states
+/// (kBatchState) carry their own level and set it to 0: every query
+/// that deepens target q with its score row over source set P — a
+/// 2-way B-IDJ query or one PJ-i query edge — reads and writes the one
+/// entry keyed (q, P). A cache belongs to exactly ONE DhtJoinService,
+/// which has a single d, and warm-state restores are refused unless
+/// ParamsFingerprint(params, d) matches; that one-cache-one-d invariant
+/// is what lets a level-d state drop its mass and keep only its score
+/// row — nothing ever advances a walk past d. Seed sets are carried by
 /// shared_ptr and compared by CONTENT — the pointers just keep one copy
 /// alive per key instead of one per comparison.
 struct CacheKey {
   uint64_t graph_fp = 0;
-  CachePayload kind = CachePayload::kBackwardSnapshot;
+  CachePayload kind = CachePayload::kBatchState;
   DhtParams params;
   int d = 0;
   /// Seed/target node (EXTERNAL id), when the payload has one. Keys
@@ -97,18 +102,8 @@ class CacheEntry {
   virtual std::size_t ApproxBytes() const = 0;
 };
 
-/// Scalar backward-walker snapshot (IncrementalTwoWayJoin / PJ-i).
-struct CachedBackwardSnapshot final : CacheEntry {
-  explicit CachedBackwardSnapshot(BackwardWalkerState s)
-      : state(std::move(s)) {}
-  BackwardWalkerState state;
-  std::size_t ApproxBytes() const override {
-    return sizeof(*this) + state.ApproxBytes();
-  }
-};
-
-/// Batched backward walk state of one (target, pinned source set) pair
-/// (the serving two-way executor's unit of warmth).
+/// Backward walk state of one (target, pinned source set) pair — the
+/// unit of warmth of the serving 2-way executor and of PJ-i alike.
 struct CachedBatchState final : CacheEntry {
   explicit CachedBatchState(BackwardBatchSnapshot s) : snap(std::move(s)) {}
   BackwardBatchSnapshot snap;

@@ -5,55 +5,75 @@
 #include <string>
 #include <utility>
 
-#include "cluster/wire.h"
 #include "dht/backward_batch.h"
-#include "dht/walker_state.h"
 #include "obs/trace.h"
 #include "serve/warm_state.h"
 
 namespace dhtjoin::serve {
 
-/// BackwardSnapshotProvider over the cache: scalar walk snapshots are
-/// keyed by target only (besides graph/params), so ANY query — 2-way or
-/// n-way, any P/Q — that deepens the same target resumes the deepest
-/// walk any earlier query left behind.
-class DhtJoinService::SnapshotAdapter final : public BackwardSnapshotProvider {
+/// BackwardStateCache over the cache: per-(target, P) kBatchState
+/// entries, the one walk-state payload. RunTwoWay and PJ-i's
+/// incremental streams both go through this adapter, so a 2-way query
+/// and a PJ-i query edge that deepen the same target over the same P
+/// share one entry (DESIGN.md §6).
+class DhtJoinService::StateAdapter final : public BackwardStateCache {
  public:
-  explicit SnapshotAdapter(DhtJoinService* service) : service_(service) {}
+  explicit StateAdapter(DhtJoinService* service) : service_(service) {}
 
-  std::shared_ptr<const BackwardWalkerState> Fetch(ExtNodeId target) override {
-    CacheKey key = service_->BaseKey(CachePayload::kBackwardSnapshot);
-    key.seed = target;
-    auto entry = service_->cache_.GetAs<CachedBackwardSnapshot>(key);
-    if (entry == nullptr) return nullptr;
-    // Aliasing shared_ptr: the state lives exactly as long as the entry.
-    return {entry, &entry->state};
-  }
-
-  void Store(ExtNodeId target, BackwardWalkerState state) override {
-    CacheKey key = service_->BaseKey(CachePayload::kBackwardSnapshot);
-    key.seed = target;
-    const int level = state.level;
-    // Never replace a deeper walk with a shallower one: depth only ever
-    // helps the next query, and both are byte-safe to resume. PutIf
-    // decides under the shard lock, so racing sessions converge on the
-    // deepest walk either of them did (DESIGN.md §6).
-    service_->cache_.PutIf(
-        key, std::make_shared<CachedBackwardSnapshot>(std::move(state)),
-        [level](const serve::CacheEntry& existing) {
-          return static_cast<const CachedBackwardSnapshot&>(existing)
-                     .state.level >= level;
-        });
-  }
-
-  bool WantsLevel(ExtNodeId target, int level) override {
-    CacheKey key = service_->BaseKey(CachePayload::kBackwardSnapshot);
-    key.seed = target;
-    auto existing = service_->cache_.PeekAs<CachedBackwardSnapshot>(key);
-    return existing == nullptr || existing->state.level < level;
+  std::unique_ptr<Pinned> Pin(std::span<const ExtNodeId> sources) override {
+    CacheKey key = service_->BaseKey(CachePayload::kBatchState);
+    key.set_a = std::make_shared<const std::vector<ExtNodeId>>(
+        sources.begin(), sources.end());
+    key.digest_a = DigestNodes(*key.set_a);
+    return std::make_unique<View>(service_, std::move(key));
   }
 
  private:
+  class View final : public Pinned {
+   public:
+    View(DhtJoinService* service, CacheKey key)
+        : service_(service), key_(std::move(key)) {}
+
+    std::shared_ptr<const BackwardBatchSnapshot> Fetch(
+        ExtNodeId target) override {
+      auto entry = service_->cache_.GetAs<CachedBatchState>(Key(target));
+      if (entry == nullptr) return nullptr;
+      // Aliasing shared_ptr: the snapshot lives exactly as long as the
+      // entry.
+      return {entry, &entry->snap};
+    }
+
+    void Store(ExtNodeId target, BackwardBatchSnapshot snap) override {
+      // One cache, one d (CacheKey): nothing ever advances a level-d
+      // walk, so its mass is dead weight — keep only the score row.
+      if (snap.level >= service_->d_) {
+        snap.mass.clear();
+        snap.mass.shrink_to_fit();
+      }
+      const int level = snap.level;
+      // Never replace a deeper walk with a shallower one: depth only
+      // ever helps the next query, and both are byte-safe to resume.
+      // PutIf decides under the shard lock, so racing sessions converge
+      // on the deepest walk either of them did (DESIGN.md §6).
+      service_->cache_.PutIf(
+          Key(target), std::make_shared<CachedBatchState>(std::move(snap)),
+          [level](const CacheEntry& existing) {
+            return static_cast<const CachedBatchState&>(existing).snap.level >=
+                   level;
+          });
+    }
+
+   private:
+    CacheKey Key(ExtNodeId target) const {
+      CacheKey key = key_;
+      key.seed = target;
+      return key;
+    }
+
+    DhtJoinService* service_;
+    CacheKey key_;  // (kind, P) fixed; the seed is the target
+  };
+
   DhtJoinService* service_;
 };
 
@@ -106,7 +126,7 @@ DhtJoinService::DhtJoinService(const Graph& g, const DhtParams& params, int d,
       pool_(options.num_threads > 0 ? options.num_threads
                                     : ThreadPool::DefaultThreadCount()),
       admission_(options.admission),
-      snapshots_(std::make_unique<SnapshotAdapter>(this)),
+      states_(std::make_unique<StateAdapter>(this)),
       tables_(std::make_unique<TableAdapter>(this)),
       clock_(options.clock != nullptr ? options.clock
                                       : obs::SystemClock::Get()),
@@ -288,7 +308,7 @@ Status DhtJoinService::SaveWarmState(const std::string& path,
                                      const persist::CheckpointHook& hook) {
   persist::SnapshotFile file;
   file.graph_fp = graph_fp_;
-  file.params_fp = cluster::ParamsFingerprint(params_, d_);
+  file.params_fp = ParamsFingerprint(params_, d_);
   std::vector<ScoreCache::ExportedEntry> entries = cache_.Export();
   file.sections.reserve(entries.size());
   for (const ScoreCache::ExportedEntry& e : entries) {
@@ -318,47 +338,45 @@ Result<int64_t> DhtJoinService::LoadWarmState(const std::string& path) {
     return decoded.status();
   }
   if (decoded->graph_fp != graph_fp_ ||
-      decoded->params_fp != cluster::ParamsFingerprint(params_, d_)) {
+      decoded->params_fp != ParamsFingerprint(params_, d_)) {
     // Someone else's snapshot (different graph, layout epoch, or
     // measure): silently cold — restoring it could only break the
     // byte-identity invariant the cache keying protects.
     persist_metrics_.restore_rejects->Increment();
     return int64_t{0};
   }
-  int64_t restored = 0;
+  // Decode every section before inserting any: a checkpoint is restored
+  // whole or not at all, so a refused file leaves the cache as it was.
+  std::vector<DecodedCacheRecord> records;
+  records.reserve(decoded->sections.size());
   for (const persist::SnapshotSection& section : decoded->sections) {
     Result<DecodedCacheRecord> record =
         DecodeCacheRecord(section.kind, section.payload, graph_fp_, params_);
     if (!record.ok()) {
-      // Section checksums passed but the record is structurally bad:
-      // an encoder/decoder version skew. Fail closed.
+      // Section checksums passed but the record is unusable: a retired
+      // payload kind or an encoder/decoder version skew. Fail closed.
       persist_metrics_.restore_rejects->Increment();
       return record.status();
     }
-    const CachePayload kind = record->key.kind;
-    const CacheEntry* incoming = record->entry.get();
-    // Same arbitration as live write-backs: deepest-wins for
-    // level-carrying walk states, resident-wins for whole tables (a
-    // live entry is never staler than a checkpointed one).
-    cache_.PutIf(record->key, record->entry,
-                 [kind, incoming](const CacheEntry& existing) {
-                   switch (kind) {
-                     case CachePayload::kBackwardSnapshot:
-                       return static_cast<const CachedBackwardSnapshot&>(
-                                  existing).state.level >=
-                              static_cast<const CachedBackwardSnapshot*>(
-                                  incoming)->state.level;
-                     case CachePayload::kBatchState:
-                       return static_cast<const CachedBatchState&>(existing)
-                                  .snap.level >=
-                              static_cast<const CachedBatchState*>(incoming)
-                                  ->snap.level;
-                     default:
-                       return true;
-                   }
-                 });
-    ++restored;
+    records.push_back(std::move(record).value());
   }
+  for (DecodedCacheRecord& record : records) {
+    // Same arbitration as live write-backs: deepest-wins for walk
+    // states, resident-wins for whole tables (a live entry is never
+    // staler than a checkpointed one).
+    const bool walk_state = record.key.kind == CachePayload::kBatchState;
+    const int level =
+        walk_state
+            ? static_cast<const CachedBatchState&>(*record.entry).snap.level
+            : 0;
+    cache_.PutIf(record.key, std::move(record.entry),
+                 [walk_state, level](const CacheEntry& existing) {
+                   return !walk_state ||
+                          static_cast<const CachedBatchState&>(existing)
+                                  .snap.level >= level;
+                 });
+  }
+  const auto restored = static_cast<int64_t>(records.size());
   persist_metrics_.restore_hits->Add(restored);
   return restored;
 }
@@ -389,7 +407,6 @@ Result<std::vector<ScoredPair>> DhtJoinService::RunTwoWay(
 
   auto p_nodes = std::make_shared<const std::vector<ExtNodeId>>(P.nodes());
   auto q_nodes = std::make_shared<const std::vector<ExtNodeId>>(Q.nodes());
-  const uint64_t p_digest = DigestNodes(*p_nodes);
 
   // Y-bound table: cached whole per (P, Q, d). A construction abandoned
   // by a cooperative stop is NEVER cached (the table would be invalid
@@ -401,7 +418,7 @@ Result<std::vector<ScoredPair>> DhtJoinService::RunTwoWay(
     ykey.d = d_;
     ykey.set_a = p_nodes;
     ykey.set_b = q_nodes;
-    ykey.digest_a = p_digest;
+    ykey.digest_a = DigestNodes(*p_nodes);
     ykey.digest_b = DigestNodes(*q_nodes);
     ybound = cache_.GetAs<CachedYBound>(ykey);
     if (ybound == nullptr) {
@@ -421,16 +438,10 @@ Result<std::vector<ScoredPair>> DhtJoinService::RunTwoWay(
     return y_usable ? ybound->table.Bound(l, qi) : params_.XBound(l);
   };
 
-  auto batch_key = [&](std::size_t qi) {
-    CacheKey key = BaseKey(CachePayload::kBatchState);
-    key.seed = Q[qi];
-    key.set_a = p_nodes;
-    key.digest_a = p_digest;
-    return key;
-  };
-
   // Import each target's deepest cached walk state (level <= d, row
   // pinned to exactly this P — the key guarantees both).
+  const std::unique_ptr<BackwardStateCache::Pinned> cached_states =
+      states_->Pin(P.nodes());
   BackwardWalkerBatch batch(g_, {.num_threads = 1});
   BackwardBatchStates states(Q.size(), per_query_state_budget_);
   if (exec != nullptr && exec->commit_fault) {
@@ -440,11 +451,10 @@ Result<std::vector<ScoredPair>> DhtJoinService::RunTwoWay(
   {
     obs::ScopedSpan import_span(trace, "import");
     for (std::size_t qi = 0; qi < Q.size(); ++qi) {
-      auto entry = cache_.GetAs<CachedBatchState>(batch_key(qi));
-      if (entry != nullptr && entry->snap.level <= d_ &&
-          entry->snap.row.size() == P.size() &&
-          states.Import(qi, entry->snap)) {
-        imported_level[qi] = entry->snap.level;
+      auto snap = cached_states->Fetch(Q[qi]);
+      if (snap != nullptr && snap->level <= d_ &&
+          snap->row.size() == P.size() && states.Import(qi, *snap)) {
+        imported_level[qi] = snap->level;
         ++qs.warm_targets;
       }
     }
@@ -533,13 +543,7 @@ Result<std::vector<ScoredPair>> DhtJoinService::RunTwoWay(
       if (states.level(qi) <= imported_level[qi]) continue;
       BackwardBatchSnapshot snap;
       if (states.Take(qi, &snap)) {
-        const int level = snap.level;
-        cache_.PutIf(batch_key(qi),
-                     std::make_shared<CachedBatchState>(std::move(snap)),
-                     [level](const CacheEntry& existing) {
-                       return static_cast<const CachedBatchState&>(existing)
-                                  .snap.level >= level;
-                     });
+        cached_states->Store(Q[qi], std::move(snap));
         ++exported;
       }
     }
@@ -705,7 +709,7 @@ Result<std::vector<TupleAnswer>> DhtJoinService::Nway(const QueryGraph& query,
     } else {
       PartialJoin join(PartialJoin::Options{.incremental = true,
                                             .bound = options_.bound,
-                                            .snapshots = snapshots_.get()});
+                                            .state_cache = states_.get()});
       result = join.Run(g_, params_, d_, query, f, k);
     }
   }

@@ -17,8 +17,9 @@
 /// query runs the ordinary schedule. Warm and cold results are
 /// byte-identical (DESIGN.md §6). The Y-bound table of each (P, Q) is
 /// cached whole. N-way queries route NL's per-edge tables and PJ-i's
-/// backward walk snapshots through the same cache via the provider
-/// hooks in core/nl_join.h and dht/backward.h.
+/// backward walk states through the same cache via the hooks in
+/// core/nl_join.h and dht/backward_batch.h; PJ-i reads and writes the
+/// very (target, P) walk-state entries the two-way executor does.
 
 #ifndef DHTJOIN_SERVE_SESSION_H_
 #define DHTJOIN_SERVE_SESSION_H_
@@ -167,7 +168,7 @@ class DhtJoinService {
                                          const ExecContext* exec = nullptr);
 
   enum class NwayAlgo {
-    kPartialJoinIncremental,  ///< PJ-i, walk snapshots through the cache
+    kPartialJoinIncremental,  ///< PJ-i, walk states through the cache
     kNestedLoop,              ///< NL, per-edge tables through the cache
   };
 
@@ -243,7 +244,7 @@ class DhtJoinService {
   Result<int64_t> LoadWarmState(const std::string& path);
 
  private:
-  class SnapshotAdapter;  // BackwardSnapshotProvider over the cache
+  class StateAdapter;     // BackwardStateCache over the cache
   class TableAdapter;     // EdgeScoreTableProvider over the cache
 
   CacheKey BaseKey(CachePayload kind) const;
@@ -272,7 +273,7 @@ class DhtJoinService {
   ScoreCache cache_;
   ThreadPool pool_;
   AdmissionController admission_;
-  std::unique_ptr<SnapshotAdapter> snapshots_;
+  std::unique_ptr<StateAdapter> states_;
   std::unique_ptr<TableAdapter> tables_;
   std::atomic<int64_t> stat_degraded_{0};
   std::atomic<int64_t> stat_cancelled_{0};

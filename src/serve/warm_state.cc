@@ -2,19 +2,18 @@
 
 #include <utility>
 
-#include "cluster/wire.h"
+#include "util/byte_codec.h"
 
 namespace dhtjoin::serve {
 
 namespace {
 
-using cluster::ByteReader;
-using cluster::ByteWriter;
-
 // Stable on-disk section kinds (decoupled from the enum's numeric
 // values so reordering CachePayload can never silently re-type disk
-// records).
-constexpr uint32_t kSectionBackwardSnapshot = 1;
+// records). Kind 1 held the retired scalar walk snapshot; it stays
+// reserved — never reused — so an old checkpoint carrying it is
+// refused with a typed status instead of being misread.
+constexpr uint32_t kSectionRetiredScalarSnapshot = 1;
 constexpr uint32_t kSectionBatchState = 2;
 constexpr uint32_t kSectionEdgeTable = 3;
 constexpr uint32_t kSectionYBound = 4;
@@ -112,7 +111,6 @@ Status ReadDoubles(ByteReader& r, std::vector<double>* out) {
 
 uint32_t SectionKindFor(CachePayload kind) {
   switch (kind) {
-    case CachePayload::kBackwardSnapshot: return kSectionBackwardSnapshot;
     case CachePayload::kBatchState: return kSectionBatchState;
     case CachePayload::kEdgeTable: return kSectionEdgeTable;
     case CachePayload::kYBound: return kSectionYBound;
@@ -125,16 +123,6 @@ std::vector<uint8_t> EncodeCacheRecord(const CacheKey& key,
   ByteWriter w;
   WriteKeyCommon(w, key);
   switch (key.kind) {
-    case CachePayload::kBackwardSnapshot: {
-      const auto* snap = dynamic_cast<const CachedBackwardSnapshot*>(&entry);
-      if (snap == nullptr) return {};
-      w.I64(snap->state.target.value());
-      w.I64(snap->state.level);
-      w.F64Bits(snap->state.lambda_pow);
-      WriteMass(w, snap->state.engine.mass);
-      WriteMass(w, snap->state.score_delta);
-      break;
-    }
     case CachePayload::kBatchState: {
       const auto* batch = dynamic_cast<const CachedBatchState*>(&entry);
       if (batch == nullptr) return {};
@@ -171,6 +159,11 @@ Result<DecodedCacheRecord> DecodeCacheRecord(uint32_t section_kind,
                                              std::span<const uint8_t> payload,
                                              uint64_t graph_fp,
                                              const DhtParams& params) {
+  if (section_kind == kSectionRetiredScalarSnapshot) {
+    return Status::Unimplemented(
+        "warm record: section kind 1 (retired scalar walk snapshot) is no "
+        "longer supported");
+  }
   ByteReader r(payload);
   DecodedCacheRecord record;
   record.key.graph_fp = graph_fp;
@@ -183,18 +176,6 @@ Result<DecodedCacheRecord> DecodeCacheRecord(uint32_t section_kind,
       ReadNodeList(r, &record.key.set_b, &record.key.digest_b));
 
   switch (section_kind) {
-    case kSectionBackwardSnapshot: {
-      record.key.kind = CachePayload::kBackwardSnapshot;
-      BackwardWalkerState state;
-      state.target = ExtNodeId(static_cast<NodeId>(r.I64()));
-      state.level = static_cast<int>(r.I64());
-      state.lambda_pow = r.F64Bits();
-      DHTJOIN_RETURN_NOT_OK(ReadMass(r, &state.engine.mass));
-      DHTJOIN_RETURN_NOT_OK(ReadMass(r, &state.score_delta));
-      record.entry =
-          std::make_shared<CachedBackwardSnapshot>(std::move(state));
-      break;
-    }
     case kSectionBatchState: {
       record.key.kind = CachePayload::kBatchState;
       BackwardBatchSnapshot snap;

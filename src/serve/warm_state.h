@@ -2,7 +2,7 @@
 /// \brief Serialization of ScoreCache records for the durability layer
 /// (persist/snapshot.h): one snapshot section per cached payload.
 ///
-/// Byte-identity discipline matches the wire (cluster/wire.h): every
+/// Byte-identity discipline matches the wire (util/byte_codec.h): every
 /// double crosses the disk as raw IEEE-754 bits via F64Bits, node ids
 /// as raw values, so a warm-restored payload is bit-for-bit the one
 /// that was checkpointed — and, by the engines' determinism, answers
@@ -48,7 +48,10 @@ struct DecodedCacheRecord {
 
 /// Rebuilds a record from a section. `graph_fp` and `params` come from
 /// the LOADING service (validated against the snapshot header by the
-/// caller); the record carries everything else.
+/// caller); the record carries everything else. A section of the
+/// retired kind 1 (the old scalar walk snapshot) is refused with
+/// kUnimplemented; any other unknown kind or malformed payload with
+/// kInvalidArgument.
 Result<DecodedCacheRecord> DecodeCacheRecord(uint32_t section_kind,
                                              std::span<const uint8_t> payload,
                                              uint64_t graph_fp,

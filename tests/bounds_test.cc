@@ -3,8 +3,12 @@
 
 #include <gtest/gtest.h>
 
-#include "dht/backward.h"
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
 #include "dht/bounds.h"
+#include "graph/reorder.h"
 #include "testing/reference.h"
 
 namespace dhtjoin {
@@ -12,6 +16,7 @@ namespace {
 
 using testing::RandomGraph;
 using testing::Range;
+using testing::RefBackwardScores;
 using testing::TwoCommunityGraph;
 
 class BoundsSweep : public ::testing::TestWithParam<double> {};
@@ -22,17 +27,15 @@ TEST_P(BoundsSweep, XBoundBracketsRemainder) {
   Graph g = RandomGraph(40, 120, 31);
   DhtParams p = DhtParams::Lambda(lambda);
   const int d = 10;
-  BackwardWalker partial(g), full(g);
   for (NodeId q : {0, 13, 29}) {
-    full.Reset(p, ExtNodeId(q));
-    full.Advance(d);
-    partial.Reset(p, ExtNodeId(q));
+    const std::vector<double> full = RefBackwardScores(g, p, d, ExtNodeId(q));
     for (int l = 1; l <= d; l++) {
-      partial.Advance(1);
+      const std::vector<double> partial =
+          RefBackwardScores(g, p, l, ExtNodeId(q));
       for (NodeId u = 0; u < g.num_nodes(); ++u) {
         if (u == q) continue;
-        EXPECT_LE(full.Score(ExtNodeId(u)),
-                  partial.Score(ExtNodeId(u)) + p.XBound(l) + 1e-12)
+        const auto ui = static_cast<std::size_t>(u);
+        EXPECT_LE(full[ui], partial[ui] + p.XBound(l) + 1e-12)
             << "q=" << q << " u=" << u << " l=" << l;
       }
     }
@@ -48,18 +51,15 @@ TEST_P(BoundsSweep, YBoundBracketsRemainder) {
   NodeSet P = Range("P", 0, 12);
   NodeSet Q = Range("Q", 20, 32);
   YBoundTable ytable(g, p, d, P, Q);
-  BackwardWalker partial(g), full(g);
   for (std::size_t qi = 0; qi < Q.size(); ++qi) {
     ExtNodeId q = Q[qi];
-    full.Reset(p, q);
-    full.Advance(d);
-    partial.Reset(p, q);
+    const std::vector<double> full = RefBackwardScores(g, p, d, q);
     for (int l = 1; l <= d; ++l) {
-      partial.Advance(1);
+      const std::vector<double> partial = RefBackwardScores(g, p, l, q);
       for (ExtNodeId u : P) {
         if (u == q) continue;
-        EXPECT_LE(full.Score(u),
-                  partial.Score(u) + ytable.Bound(l, qi) + 1e-12)
+        const auto ui = static_cast<std::size_t>(u.value());
+        EXPECT_LE(full[ui], partial[ui] + ytable.Bound(l, qi) + 1e-12)
             << "q=" << q.value() << " u=" << u.value() << " l=" << l;
       }
     }
@@ -161,6 +161,87 @@ TEST(BoundsTest, YBoundChargesRealSweepCost) {
                      NodeSet("Q", std::vector<NodeId>{1}));
   EXPECT_LT(ytable.edges_relaxed(),
             static_cast<int64_t>(d) * tiny.num_edges());
+}
+
+/// Y_l^+(P, q) from a dense reference sweep: S_i(P, q) by gathering
+/// every in-row in storage (canonical-source) order — the order the
+/// table's frontier push accumulates a node in — then the table's own
+/// suffix sum.
+std::vector<std::vector<double>> RefYBound(const Graph& g, const DhtParams& p,
+                                           int d, const NodeSet& P,
+                                           const NodeSet& Q) {
+  const auto n = static_cast<std::size_t>(g.num_nodes());
+  std::vector<double> mass(n, 0.0), next(n, 0.0);
+  for (ExtNodeId u : P) {
+    mass[static_cast<std::size_t>(g.ToInternal(u).value())] = 1.0;
+  }
+  std::vector<std::vector<double>> s(
+      Q.size(), std::vector<double>(static_cast<std::size_t>(d), 0.0));
+  for (int i = 1; i <= d; ++i) {
+    for (std::size_t w = 0; w < n; ++w) {
+      double acc = 0.0;
+      for (const InEdge& e : g.InEdges(IntNodeId(static_cast<NodeId>(w)))) {
+        acc += e.prob * mass[static_cast<std::size_t>(e.from)];
+      }
+      next[w] = acc;
+    }
+    mass.swap(next);
+    for (std::size_t qi = 0; qi < Q.size(); ++qi) {
+      s[qi][static_cast<std::size_t>(i) - 1] =
+          mass[static_cast<std::size_t>(g.ToInternal(Q[qi]).value())];
+    }
+  }
+  std::vector<std::vector<double>> bound(
+      Q.size(), std::vector<double>(static_cast<std::size_t>(d) + 1, 0.0));
+  for (std::size_t qi = 0; qi < Q.size(); ++qi) {
+    double acc = 0.0;
+    for (int l = d - 1; l >= 0; --l) {
+      acc += p.alpha * std::pow(p.lambda, l + 1) *
+             std::min(s[qi][static_cast<std::size_t>(l)], 1.0);
+      bound[qi][static_cast<std::size_t>(l)] = acc;
+    }
+  }
+  return bound;
+}
+
+TEST(BoundsTest, YBoundMatchesDenseSweepBitwiseInEveryLayout) {
+  Graph g = RandomGraph(200, 800, 77);
+  Graph rcm = std::move(ReorderGraph(g, ReorderKind::kRcm)).value();
+  const NodeSet P = Range("P", 0, 10);
+  const NodeSet Q = Range("Q", 50, 60);
+  for (double lambda : {0.2, 0.8}) {
+    const DhtParams p = DhtParams::Lambda(lambda);
+    const auto want = RefYBound(g, p, 12, P, Q);
+    for (const Graph* layout : {&g, &rcm}) {
+      YBoundTable table(*layout, p, 12, P, Q);
+      EXPECT_EQ(table.suffix_rows(), want) << "lambda=" << lambda;
+    }
+  }
+}
+
+TEST(BoundsTest, YBoundSweepBillsFrontierAndPlanEdges) {
+  // Pinned work counters: a sparse step bills its frontier's
+  // out-degrees, a dense one its weak-component plan's edges, and the
+  // bill is layout-independent. The sweep's bill is charged to every
+  // B-IDJ-Y and PJ-i walk_steps figure, so a change here is visible.
+  Graph dense = RandomGraph(200, 800, 77);
+  Graph rcm = std::move(ReorderGraph(dense, ReorderKind::kRcm)).value();
+  const DhtParams p = DhtParams::Lambda(0.2);
+  for (const Graph* layout : {&dense, &rcm}) {
+    EXPECT_EQ(YBoundTable(*layout, p, 8, Range("P", 0, 10),
+                          Range("Q", 50, 60))
+                  .edges_relaxed(),
+              11286);
+    EXPECT_EQ(YBoundTable(*layout, p, 20, Range("P", 0, 10),
+                          Range("Q", 50, 60))
+                  .edges_relaxed(),
+              30486);
+  }
+  Graph sparse = RandomGraph(300, 330, 5);
+  EXPECT_EQ(YBoundTable(sparse, DhtParams::Lambda(0.5), 12, Range("P", 0, 3),
+                        Range("Q", 100, 110))
+                .edges_relaxed(),
+            5933);
 }
 
 TEST(BoundsTest, YBoundCapsProbabilityAtOne) {

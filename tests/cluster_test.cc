@@ -14,6 +14,7 @@
 #include <dirent.h>
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cmath>
@@ -65,7 +66,6 @@ using cluster::EncodeTwoWayRequest;
 using cluster::FrameHeader;
 using cluster::FrameType;
 using cluster::kFrameHeaderBytes;
-using cluster::ParamsFingerprint;
 using cluster::TwoWayWireReply;
 using cluster::TwoWayWireRequest;
 using cluster::VerifyFramePayload;
@@ -111,6 +111,32 @@ TEST(FrameTest, RoundTrip) {
                                      frame.data() + kFrameHeaderBytes,
                                      payload.size()))
                   .ok());
+}
+
+TEST(FrameTest, HeaderBytesFollowTheFixedLayout) {
+  // The offsets of frame.h, little-endian, written out by hand: the
+  // header bytes must not depend on how the codec lays them down.
+  const std::vector<uint8_t> payload = {9, 8, 7};
+  const uint64_t request_id = 0x0123456789abcdefULL;
+  std::vector<uint8_t> frame =
+      EncodeFrame(FrameType::kTwoWayReply, request_id, payload);
+  ASSERT_EQ(frame.size(), kFrameHeaderBytes + payload.size());
+  std::vector<uint8_t> want(kFrameHeaderBytes, 0);
+  auto put = [&want](std::size_t offset, uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      want[offset + static_cast<std::size_t>(i)] =
+          static_cast<uint8_t>(v >> (8 * i));
+    }
+  };
+  put(0, cluster::kFrameMagic, 4);
+  put(4, cluster::kProtocolVersion, 2);
+  put(6, static_cast<uint16_t>(FrameType::kTwoWayReply), 2);
+  put(8, request_id, 8);
+  put(16, payload.size(), 4);
+  put(20, FrameChecksum(payload), 8);
+  EXPECT_TRUE(std::equal(want.begin(), want.end(), frame.begin()));
+  EXPECT_TRUE(std::equal(payload.begin(), payload.end(),
+                         frame.begin() + kFrameHeaderBytes));
 }
 
 TEST(FrameTest, ChecksumCatchesEverySingleByteFlip) {
@@ -450,6 +476,26 @@ TEST_F(ClusterE2ETest, CorruptAndTruncatedRepliesAreRejectedAndRetried) {
     bad->Stop();
     good->Stop();
   }
+}
+
+TEST_F(ClusterE2ETest, FinishedConnectionThreadsAreJoined) {
+  // The coordinator opens one connection per RPC attempt, so a worker
+  // serves one short-lived thread per query; finished ones must be
+  // joined as new connections arrive, not kept (with their stacks)
+  // until Stop.
+  WorkerOptions wo;
+  wo.service.num_threads = 1;
+  WorkerServer worker(g_, params_, kD, wo);
+  ASSERT_TRUE(worker.Start().ok());
+  ClusterCoordinator coord(g_, params_, kD, {WorkerEndpoint{worker.port()}},
+                           BaseOptions());
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_TRUE(coord.TwoWay(P_, Q_, kK).ok());
+  }
+  EXPECT_GE(worker.queries_served(), 40);
+  EXPECT_LE(worker.connection_threads(), 4u);
+  worker.Stop();
+  EXPECT_EQ(worker.connection_threads(), 0u);
 }
 
 TEST_F(ClusterE2ETest, AdmissionRejectionBacksOffThenSurfacesTyped) {

@@ -97,13 +97,12 @@ TEST(IncrementalTest, ScoresAreExactDStepValues) {
   auto join = IncrementalTwoWayJoin::Create(g, p, d, Range("P", 0, 15),
                                             Range("Q", 20, 35), 5);
   ASSERT_TRUE(join.ok());
-  BackwardWalker w(g);
   for (int i = 0; i < 20; ++i) {
     auto next = (*join)->Next();
     if (!next) break;
-    w.Reset(p, ExtNodeId(next->q));
-    w.Advance(d);
-    EXPECT_NEAR(next->score, w.Score(ExtNodeId(next->p)), 1e-12);
+    EXPECT_EQ(next->score,
+              testing::RefBackwardScores(g, p, d, ExtNodeId(next->q))
+                  [static_cast<std::size_t>(next->p)]);
   }
 }
 
@@ -208,9 +207,9 @@ TEST(IncrementalTest, BatchScheduleResumeCountersAreExact) {
   EXPECT_EQ(st.pool_barriers, total);
 }
 
-TEST(IncrementalTest, ScalarPathCountsOneMissPerColdTarget) {
-  // The m = 0 enumerator deepens targets one scalar walk at a time:
-  // with an un-evicting pool each target is cold exactly once, so
+TEST(IncrementalTest, LazyPathCountsOneMissPerColdTarget) {
+  // The m = 0 enumerator deepens targets one single-lane walk at a
+  // time: with un-evicting states each target is cold exactly once, so
   // misses == touched targets, independent of how many levels each
   // target is later resumed through (those are hits).
   Graph g = RandomGraph(40, 120, 216, /*undirected=*/true,

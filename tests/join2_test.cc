@@ -129,11 +129,10 @@ TEST(TwoWayJoinTest, ScoresAreExactNotBounds) {
   BIdjJoin algo(BIdjJoin::Options{UpperBoundKind::kY});
   auto got = algo.Run(g, p, d, Range("P", 0, 15), Range("Q", 20, 35), 10);
   ASSERT_TRUE(got.ok());
-  BackwardWalker w(g);
   for (const ScoredPair& sp : *got) {
-    w.Reset(p, ExtNodeId(sp.q));
-    w.Advance(d);
-    EXPECT_NEAR(sp.score, w.Score(ExtNodeId(sp.p)), 1e-12);
+    EXPECT_EQ(sp.score, testing::RefBackwardScores(
+                            g, p, d, ExtNodeId(sp.q))[static_cast<std::size_t>(
+                            sp.p)]);
   }
 }
 

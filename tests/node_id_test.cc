@@ -8,12 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <unordered_set>
 #include <vector>
 
-#include "dht/backward.h"
-#include "dht/forward.h"
-#include "dht/propagate.h"
+#include "dht/backward_batch.h"
+#include "dht/forward_batch.h"
 #include "graph/graph.h"
 #include "graph/node_id.h"
 #include "graph/node_set.h"
@@ -63,40 +63,31 @@ static_assert(!ToInternalTakes<NodeId>);
 static_assert(ToExternalTakes<IntNodeId>);
 static_assert(!ToExternalTakes<ExtNodeId>);
 
-// Walker boundaries are EXTERNAL-space.
+// Walk-engine boundaries are EXTERNAL-space.
 template <class Id>
-concept BackwardResetTakes =
-    requires(BackwardWalker& w, const DhtParams& p, Id q) { w.Reset(p, q); };
-template <class Id>
-concept BackwardScoreTakes =
-    requires(const BackwardWalker& w, Id u) { w.Score(u); };
-static_assert(BackwardResetTakes<ExtNodeId>);
-static_assert(!BackwardResetTakes<IntNodeId>);
-static_assert(!BackwardResetTakes<NodeId>);
-static_assert(BackwardScoreTakes<ExtNodeId>);
-static_assert(!BackwardScoreTakes<IntNodeId>);
+concept BackwardRunTakes =
+    requires(BackwardWalkerBatch& b, const DhtParams& p,
+             std::span<const Id> ids) { b.Run(p, 4, ids, ids); };
+static_assert(BackwardRunTakes<ExtNodeId>);
+static_assert(!BackwardRunTakes<IntNodeId>);
+static_assert(!BackwardRunTakes<NodeId>);
 
 template <class Id>
-concept ForwardComputeTakes =
-    requires(ForwardWalker& w, const DhtParams& p, Id u, Id v) {
-      w.Compute(p, 4, u, v);
-    };
-static_assert(ForwardComputeTakes<ExtNodeId>);
-static_assert(!ForwardComputeTakes<IntNodeId>);
-static_assert(!ForwardComputeTakes<NodeId>);
+concept ForwardRunTakes =
+    requires(ForwardWalkerBatch& b, const DhtParams& p,
+             std::span<const Id> ids) { b.Run(p, 4, ids, ids); };
+static_assert(ForwardRunTakes<ExtNodeId>);
+static_assert(!ForwardRunTakes<IntNodeId>);
+static_assert(!ForwardRunTakes<NodeId>);
 
-// The low-level engine is INTERNAL-space.
+// The cross-query walk-state cache is keyed by EXTERNAL targets (cache
+// keys are layout-independent; the graph fingerprint pins the layout).
 template <class Id>
-concept PropagatorResetTakes =
-    requires(Propagator& e, Id seed) { e.Reset(seed); };
-template <class Id>
-concept PropagatorMassTakes =
-    requires(const Propagator& e, Id u) { e.Mass(u); };
-static_assert(PropagatorResetTakes<IntNodeId>);
-static_assert(!PropagatorResetTakes<ExtNodeId>);
-static_assert(PropagatorMassTakes<IntNodeId>);
-static_assert(!PropagatorMassTakes<ExtNodeId>);
-static_assert(!PropagatorMassTakes<NodeId>);
+concept StateCacheFetchTakes =
+    requires(BackwardStateCache::Pinned& c, Id q) { c.Fetch(q); };
+static_assert(StateCacheFetchTakes<ExtNodeId>);
+static_assert(!StateCacheFetchTakes<IntNodeId>);
+static_assert(!StateCacheFetchTakes<NodeId>);
 
 // NodeSet is EXTERNAL-space.
 template <class Id>
@@ -158,14 +149,6 @@ TEST(NodeIdTest, RawBridgesAreZeroCopyViews) {
   EXPECT_EQ(raw[0], 3);
   EXPECT_EQ(static_cast<const void*>(raw.data()),
             static_cast<const void*>(typed.data()));
-
-  std::vector<NodeId> storage = {7, 8};
-  std::span<const ExtNodeId> ext_view = AsExtIds(storage);
-  std::span<const IntNodeId> int_view = AsIntIds(storage);
-  EXPECT_EQ(ext_view[1].value(), 8);
-  EXPECT_EQ(int_view[0].value(), 7);
-  EXPECT_EQ(static_cast<const void*>(ext_view.data()),
-            static_cast<const void*>(storage.data()));
 }
 
 TEST(NodeIdTest, WrapExtIdsCopies) {

@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "cluster/chaos.h"
-#include "cluster/wire.h"
+#include "dht/params.h"
 #include "persist/metrics.h"
 #include "persist/snapshot.h"
 #include "serve/session.h"
@@ -317,9 +317,9 @@ TEST_F(WarmStateTest, GarbageSectionPayloadsAreRejectedByRecordDecode) {
   const std::string path = TempPath("warm_garbage.snap");
   SnapshotFile file;
   file.graph_fp = service.graph_fingerprint();
-  file.params_fp = cluster::ParamsFingerprint(params_, kD);
-  // kind 1 = backward snapshot, with a payload that is far too short.
-  file.sections.push_back(SnapshotSection{1, {0xff, 0x01, 0x02}});
+  file.params_fp = ParamsFingerprint(params_, kD);
+  // kind 2 = batch walk state, with a payload that is far too short.
+  file.sections.push_back(SnapshotSection{2, {0xff, 0x01, 0x02}});
   ASSERT_TRUE(WriteSnapshotFile(path, file).ok());
   Result<int64_t> r = service.LoadWarmState(path);
   ASSERT_FALSE(r.ok());
@@ -331,6 +331,47 @@ TEST_F(WarmStateTest, GarbageSectionPayloadsAreRejectedByRecordDecode) {
   Result<int64_t> r2 = service.LoadWarmState(path);
   ASSERT_FALSE(r2.ok());
   EXPECT_EQ(r2.status().code(), StatusCode::kInvalidArgument);
+  std::remove(path.c_str());
+}
+
+TEST_F(WarmStateTest, RetiredScalarSectionIsRefusedAndServiceServesCold) {
+  // Section kind 1 held the retired scalar walk snapshot. A checkpoint
+  // that still carries one is refused whole with a typed status — even
+  // the valid records before it are not restored — and the service
+  // then answers cold, byte-identically.
+  DhtJoinService source(g_, params_, kD, ServiceOptions());
+  ASSERT_TRUE(source.TwoWay(P_, Q_, kK).ok());
+  const std::string path = TempPath("warm_retired.snap");
+  ASSERT_TRUE(source.SaveWarmState(path).ok());
+  Result<SnapshotFile> file = ReadSnapshotFile(path);
+  ASSERT_TRUE(file.ok());
+  ASSERT_FALSE(file->sections.empty());
+  // A well-formed-looking scalar record (key, target, level, mass).
+  file->sections.push_back(
+      SnapshotSection{1, std::vector<uint8_t>(64, 0x01)});
+  ASSERT_TRUE(WriteSnapshotFile(path, *file).ok());
+
+  DhtJoinService victim(g_, params_, kD, ServiceOptions());
+  Result<int64_t> r = victim.LoadWarmState(path);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kUnimplemented);
+  EXPECT_EQ(victim.cache_stats().entries, 0u);
+
+  DhtJoinService reference(g_, params_, kD, ServiceOptions());
+  Result<std::vector<ScoredPair>> want = reference.TwoWay(P_, Q_, kK);
+  serve::QueryStats qs;
+  Result<std::vector<ScoredPair>> got = victim.TwoWay(P_, Q_, kK, &qs);
+  ASSERT_TRUE(want.ok());
+  ASSERT_TRUE(got.ok());
+  ExpectBytesIdentical(*got, *want);
+  EXPECT_EQ(qs.warm_targets, 0);
+  // The kind stays reserved: nothing the service writes reuses it.
+  ASSERT_TRUE(victim.SaveWarmState(path).ok());
+  Result<SnapshotFile> rewritten = ReadSnapshotFile(path);
+  ASSERT_TRUE(rewritten.ok());
+  for (const SnapshotSection& section : rewritten->sections) {
+    EXPECT_NE(section.kind, 1u);
+  }
   std::remove(path.c_str());
 }
 

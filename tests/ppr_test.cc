@@ -7,9 +7,9 @@
 
 #include <memory>
 
-#include "dht/backward.h"
+#include "dht/backward_batch.h"
 #include "dht/bounds.h"
-#include "dht/forward.h"
+#include "dht/forward_batch.h"
 #include "join2/b_bj.h"
 #include "join2/b_idj.h"
 #include "join2/f_bj.h"
@@ -25,7 +25,14 @@ namespace {
 using testing::CycleGraph;
 using testing::RandomGraph;
 using testing::Range;
+using testing::RefBackwardScores;
+using testing::RefForwardScore;
 using testing::TwoCommunityGraph;
+
+double Forward(const Graph& g, const DhtParams& p, int d, NodeId u,
+               NodeId v) {
+  return RefForwardScore(g, p, d, ExtNodeId(u), ExtNodeId(v));
+}
 
 TEST(PprParamsTest, FactoryCoefficients) {
   DhtParams p = DhtParams::PersonalizedPageRank(0.85);
@@ -47,9 +54,7 @@ TEST(PprWalkerTest, TwoCycleClosedForm) {
   const double c = 0.6;
   DhtParams p = DhtParams::PersonalizedPageRank(c);
   int d = p.StepsForEpsilon(1e-10);
-  ForwardWalker w(g);
-  EXPECT_NEAR(w.Compute(p, d, ExtNodeId(0), ExtNodeId(1)), c / (1.0 + c),
-              1e-9);
+  EXPECT_NEAR(Forward(g, p, d, 0, 1), c / (1.0 + c), 1e-9);
 }
 
 TEST(PprWalkerTest, VisitingNotFirstHit) {
@@ -62,9 +67,8 @@ TEST(PprWalkerTest, VisitingNotFirstHit) {
   DhtParams hit = visit;
   hit.first_hit = true;
   const int d = 20;
-  ForwardWalker w(g);
-  double s_visit = w.Compute(visit, d, ExtNodeId(0), ExtNodeId(3));
-  double s_hit = w.Compute(hit, d, ExtNodeId(0), ExtNodeId(3));
+  double s_visit = Forward(g, visit, d, 0, 3);
+  double s_hit = Forward(g, hit, d, 0, 3);
   EXPECT_GT(s_visit, s_hit + 1e-9);
 }
 
@@ -72,15 +76,17 @@ TEST(PprWalkerTest, ForwardEqualsBackward) {
   Graph g = RandomGraph(30, 90, 61, /*undirected=*/true, /*weighted=*/true);
   DhtParams p = DhtParams::PersonalizedPageRank(0.7);
   const int d = 12;
-  ForwardWalker fw(g);
-  BackwardWalker bw(g);
+  ForwardWalkerBatch fw(g, {.num_threads = 1});
+  BackwardWalkerBatch bw(g, {.num_threads = 1});
+  const std::vector<ExtNodeId> sources = {ExtNodeId(0), ExtNodeId(5),
+                                          ExtNodeId(17), ExtNodeId(28)};
   for (NodeId v : {2, 11, 23}) {
-    bw.Reset(p, ExtNodeId(v));
-    bw.Advance(d);
-    for (NodeId u : {0, 5, 17, 28}) {
-      if (u == v) continue;
-      EXPECT_NEAR(fw.Compute(p, d, ExtNodeId(u), ExtNodeId(v)),
-                  bw.Score(ExtNodeId(u)), 1e-10);
+    const ExtNodeId target(v);
+    const std::vector<double> backward = bw.Run(p, d, {&target, 1}, sources);
+    const std::vector<double> forward = fw.Run(p, d, sources, {&target, 1});
+    for (std::size_t s = 0; s < sources.size(); ++s) {
+      EXPECT_NEAR(forward[s], backward[s], 1e-10);
+      EXPECT_EQ(forward[s], Forward(g, p, d, sources[s].value(), v));
     }
   }
 }
@@ -90,11 +96,10 @@ TEST(PprWalkerTest, VisitProbabilitiesCanSumPastOne) {
   // not a sub-distribution: the walk can occupy the target many times.
   Graph g = CycleGraph(3);
   DhtParams p = DhtParams::PersonalizedPageRank(0.9);
-  ForwardWalker w(g);
-  w.Reset(p, ExtNodeId(0), ExtNodeId(2));
-  w.Advance(30);
+  std::vector<double> visits;
+  RefForwardScore(g, p, 30, ExtNodeId(0), ExtNodeId(2), &visits);
   double total = 0.0;
-  for (int i = 1; i <= 30; ++i) total += w.HitProbability(i);
+  for (double v : visits) total += v;
   EXPECT_GT(total, 1.5);  // visited on steps 2, 5, 8, ...
 }
 
@@ -105,19 +110,16 @@ TEST(PprBoundsTest, XAndYBracketRemainder) {
   NodeSet P = Range("P", 0, 10);
   NodeSet Q = Range("Q", 20, 30);
   YBoundTable ytable(g, p, d, P, Q);
-  BackwardWalker partial(g), full(g);
   for (std::size_t qi = 0; qi < Q.size(); ++qi) {
     ExtNodeId q = Q[qi];
-    full.Reset(p, q);
-    full.Advance(d);
-    partial.Reset(p, q);
+    const std::vector<double> full = RefBackwardScores(g, p, d, q);
     for (int l = 1; l <= d; ++l) {
-      partial.Advance(1);
+      const std::vector<double> partial = RefBackwardScores(g, p, l, q);
       for (ExtNodeId u : P) {
         if (u == q) continue;
-        EXPECT_LE(full.Score(u), partial.Score(u) + p.XBound(l) + 1e-12);
-        EXPECT_LE(full.Score(u),
-                  partial.Score(u) + ytable.Bound(l, qi) + 1e-12);
+        const auto ui = static_cast<std::size_t>(u.value());
+        EXPECT_LE(full[ui], partial[ui] + p.XBound(l) + 1e-12);
+        EXPECT_LE(full[ui], partial[ui] + ytable.Bound(l, qi) + 1e-12);
       }
     }
   }
@@ -216,11 +218,9 @@ TEST(PprJoinTest, RankingDiffersFromDht) {
   const int d = 140;  // c^d remainder well below the 1e-6 tolerance
   DhtParams ppr = DhtParams::PersonalizedPageRank(c);
   DhtParams dht = DhtParams::Lambda(0.9);
-  ForwardWalker w(g);
-  EXPECT_GT(w.Compute(dht, d, ExtNodeId(0), ExtNodeId(1)),
-            w.Compute(dht, d, ExtNodeId(0), ExtNodeId(3)));  // A > B
-  double ppr_a = w.Compute(ppr, d, ExtNodeId(0), ExtNodeId(1));
-  double ppr_b = w.Compute(ppr, d, ExtNodeId(0), ExtNodeId(3));
+  EXPECT_GT(Forward(g, dht, d, 0, 1), Forward(g, dht, d, 0, 3));  // A > B
+  double ppr_a = Forward(g, ppr, d, 0, 1);
+  double ppr_b = Forward(g, ppr, d, 0, 3);
   EXPECT_LT(ppr_a, ppr_b);  // B > A: ranking reversed
   // And both match their closed forms.
   EXPECT_NEAR(ppr_a, (1 - c) * c / 2, 1e-6);

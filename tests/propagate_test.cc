@@ -1,8 +1,7 @@
 /// \file tests/propagate_test.cc
-/// \brief The frontier-adaptive propagation engine vs the dense
-/// reference sweep, and the batched backward evaluator vs a sequential
-/// walker loop — on every graph fixture, under both first-hit (DHT) and
-/// visiting (PPR) semantics.
+/// \brief The frontier-adaptive batch engines in every propagation mode
+/// vs the dense reference loops — bit for bit, on every graph fixture,
+/// under both first-hit (DHT) and visiting (PPR) semantics.
 
 #include <gtest/gtest.h>
 
@@ -11,10 +10,8 @@
 #include <cmath>
 #include <vector>
 
-#include "dht/backward.h"
 #include "dht/backward_batch.h"
-#include "dht/forward.h"
-#include "dht/propagate.h"
+#include "dht/forward_batch.h"
 #include "testing/reference.h"
 #include "util/thread_pool.h"
 
@@ -24,6 +21,8 @@ namespace {
 using testing::CycleGraph;
 using testing::PathGraph;
 using testing::RandomGraph;
+using testing::RefBackwardScores;
+using testing::RefForwardScore;
 using testing::StarGraph;
 using testing::TwoCommunityGraph;
 
@@ -50,30 +49,30 @@ std::vector<DhtParams> Semantics() {
           DhtParams::Exponential(), DhtParams::PersonalizedPageRank(0.7)};
 }
 
-// ----------------------------------------- sparse/adaptive == dense
+constexpr PropagationMode kModes[] = {PropagationMode::kDense,
+                                      PropagationMode::kSparse,
+                                      PropagationMode::kAdaptive};
+
+std::vector<ExtNodeId> AllNodes(const Graph& g) {
+  std::vector<ExtNodeId> all;
+  for (NodeId u = 0; u < g.num_nodes(); ++u) all.emplace_back(u);
+  return all;
+}
+
+// ------------------------------------ every mode == the dense reference
 
 TEST(PropagateTest, BackwardModesAgreeOnAllFixtures) {
   for (auto& fx : Fixtures()) {
+    const std::vector<ExtNodeId> all = AllNodes(fx.graph);
     for (const DhtParams& p : Semantics()) {
-      BackwardWalker dense(fx.graph, PropagationMode::kDense);
-      BackwardWalker sparse(fx.graph, PropagationMode::kSparse);
-      BackwardWalker adaptive(fx.graph, PropagationMode::kAdaptive);
-      for (NodeId q = 0; q < fx.graph.num_nodes(); q += 3) {
-        dense.Reset(p, ExtNodeId(q));
-        sparse.Reset(p, ExtNodeId(q));
-        adaptive.Reset(p, ExtNodeId(q));
-        dense.Advance(10);
-        sparse.Advance(10);
-        adaptive.Advance(10);
-        for (NodeId u = 0; u < fx.graph.num_nodes(); ++u) {
-          EXPECT_NEAR(sparse.Score(ExtNodeId(u)), dense.Score(ExtNodeId(u)),
-                      kTol)
+      for (PropagationMode mode : kModes) {
+        BackwardWalkerBatch batch(fx.graph, {.mode = mode, .num_threads = 1});
+        for (NodeId q = 0; q < fx.graph.num_nodes(); q += 3) {
+          const ExtNodeId target(q);
+          EXPECT_EQ(batch.Run(p, 10, {&target, 1}, all),
+                    RefBackwardScores(fx.graph, p, 10, target))
               << fx.name << " first_hit=" << p.first_hit << " q=" << q
-              << " u=" << u;
-          EXPECT_NEAR(adaptive.Score(ExtNodeId(u)), dense.Score(ExtNodeId(u)),
-                      kTol)
-              << fx.name << " first_hit=" << p.first_hit << " q=" << q
-              << " u=" << u;
+              << " mode=" << static_cast<int>(mode);
         }
       }
     }
@@ -83,29 +82,19 @@ TEST(PropagateTest, BackwardModesAgreeOnAllFixtures) {
 TEST(PropagateTest, ForwardModesAgreeOnAllFixtures) {
   for (auto& fx : Fixtures()) {
     for (const DhtParams& p : Semantics()) {
-      ForwardWalker dense(fx.graph, PropagationMode::kDense);
-      ForwardWalker sparse(fx.graph, PropagationMode::kSparse);
-      ForwardWalker adaptive(fx.graph, PropagationMode::kAdaptive);
-      const NodeId n = fx.graph.num_nodes();
-      for (NodeId u : {NodeId{0}, static_cast<NodeId>(n / 2)}) {
-        for (NodeId v : {static_cast<NodeId>(n - 1), NodeId{1}}) {
-          if (u == v) continue;
-          const int d = 9;
-          dense.Reset(p, ExtNodeId(u), ExtNodeId(v));
-          sparse.Reset(p, ExtNodeId(u), ExtNodeId(v));
-          adaptive.Reset(p, ExtNodeId(u), ExtNodeId(v));
-          dense.Advance(d);
-          sparse.Advance(d);
-          adaptive.Advance(d);
-          EXPECT_NEAR(sparse.Score(), dense.Score(), kTol) << fx.name;
-          EXPECT_NEAR(adaptive.Score(), dense.Score(), kTol) << fx.name;
-          for (int i = 1; i <= d; ++i) {
-            EXPECT_NEAR(sparse.HitProbability(i), dense.HitProbability(i),
-                        kTol)
-                << fx.name << " i=" << i;
-            EXPECT_NEAR(adaptive.HitProbability(i), dense.HitProbability(i),
-                        kTol)
-                << fx.name << " i=" << i;
+      for (PropagationMode mode : kModes) {
+        ForwardWalkerBatch batch(fx.graph, {.mode = mode, .num_threads = 1});
+        const NodeId n = fx.graph.num_nodes();
+        for (NodeId u : {NodeId{0}, static_cast<NodeId>(n / 2)}) {
+          for (NodeId v : {static_cast<NodeId>(n - 1), NodeId{1}}) {
+            if (u == v) continue;
+            const ExtNodeId source(u), target(v);
+            for (int d = 1; d <= 9; ++d) {
+              EXPECT_EQ(batch.Run(p, d, {&source, 1}, {&target, 1})[0],
+                        RefForwardScore(fx.graph, p, d, source, target))
+                  << fx.name << " d=" << d
+                  << " mode=" << static_cast<int>(mode);
+            }
           }
         }
       }
@@ -116,16 +105,20 @@ TEST(PropagateTest, ForwardModesAgreeOnAllFixtures) {
 TEST(PropagateTest, SparseResumableAdvanceMatchesOneShot) {
   Graph g = RandomGraph(25, 70, 33);
   DhtParams p = DhtParams::Lambda(0.5);
-  BackwardWalker a(g, PropagationMode::kSparse);
-  BackwardWalker b(g, PropagationMode::kSparse);
-  a.Reset(p, ExtNodeId(4));
-  a.Advance(8);
-  b.Reset(p, ExtNodeId(4));
-  b.Advance(3);
-  b.Advance(5);  // resumed: must be bit-identical, not just close
-  for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    EXPECT_DOUBLE_EQ(a.Score(ExtNodeId(u)), b.Score(ExtNodeId(u)));
-  }
+  const std::vector<ExtNodeId> all = AllNodes(g);
+  BackwardWalkerBatch batch(g, {.mode = PropagationMode::kSparse,
+                                .num_threads = 1});
+  BackwardBatchStates states(1);
+  const ExtNodeId target(4);
+  const std::size_t slot = 0;
+  std::vector<double> resumed;
+  auto keep = [&](std::size_t, const double* row) {
+    resumed.assign(row, row + all.size());
+  };
+  batch.AdvanceChunked(p, 3, {&target, 1}, {&slot, 1}, all, states, keep);
+  batch.AdvanceChunked(p, 8, {&target, 1}, {&slot, 1}, all, states, keep);
+  // Resumed: must be bit-identical, not just close.
+  EXPECT_EQ(resumed, batch.Run(p, 8, {&target, 1}, all));
 }
 
 // ----------------------------------------------- engine-level checks
@@ -134,68 +127,94 @@ TEST(PropagateTest, SparseStepsRelaxFewerEdgesOnLocalizedWalks) {
   // Backward walk from a star leaf: the frontier is {leaf}, then {hub},
   // then all leaves — far below the dense m-per-step cost.
   Graph g = StarGraph(64);
-  Propagator dense(g, Propagator::Direction::kBackward,
-                   PropagationMode::kDense);
-  Propagator adaptive(g, Propagator::Direction::kBackward,
-                      PropagationMode::kAdaptive);
-  dense.Reset(IntNodeId(1));
-  adaptive.Reset(IntNodeId(1));
-  dense.Step();
-  adaptive.Step();
+  BackwardWalkerBatch dense(g, {.mode = PropagationMode::kDense,
+                                .num_threads = 1});
+  BackwardWalkerBatch adaptive(g, {.mode = PropagationMode::kAdaptive,
+                                   .num_threads = 1});
+  const ExtNodeId leaf(1), hub(0);
+  dense.Run(DhtParams::Lambda(0.2), 1, {&leaf, 1}, {&hub, 1});
+  adaptive.Run(DhtParams::Lambda(0.2), 1, {&leaf, 1}, {&hub, 1});
   EXPECT_LT(adaptive.edges_relaxed(), dense.edges_relaxed() / 4);
 }
 
 TEST(PropagateTest, AdaptiveGoesDenseOnSaturatedFrontier) {
   // On a complete graph the frontier saturates after one step; the
-  // adaptive engine must fall back to the dense sweep instead of paying
-  // the sparse-push penalty on a full frontier.
+  // adaptive policy must pick the dense sweep instead of paying the
+  // sparse-push penalty on a full frontier — while a one-node frontier
+  // stays sparse.
   Graph g = testing::CompleteGraph(24);
-  Propagator adaptive(g, Propagator::Direction::kBackward,
-                      PropagationMode::kAdaptive);
-  adaptive.Reset(IntNodeId(0));
-  adaptive.Step();  // frontier: 23 in-neighbors of node 0
-  adaptive.Step();  // frontier: everything
-  EXPECT_TRUE(adaptive.last_step_dense());
+  const SweepPlan plan = g.FullSweepPlan();
+  int64_t saturated_edges = 0;
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    saturated_edges += g.InDegree(IntNodeId(u));
+  }
+  EXPECT_TRUE(FrontierPrefersDense(24, saturated_edges, plan.cost));
+  EXPECT_FALSE(SupportSizeForcesDense(1, plan.cost));
+  EXPECT_FALSE(FrontierPrefersDense(1, g.InDegree(IntNodeId(0)), plan.cost));
+
+  // The engine applies that policy against its plan cost, and the edge
+  // bill shows which sweep each step ran: a sparse step bills each live
+  // frontier node's in-degree, a dense backward step bills plan.edges.
+  // Step 1 pushes node 0's 23 in-edges (sparse); step 2's frontier is
+  // the 23 in-neighbours, whose 23 * 23 in-edges outweigh the sweep, so
+  // it runs dense: 23 + 552 = 575 (staying sparse would bill 23 + 529).
+  ASSERT_EQ(plan.edges, 24 * 23);
+  const int64_t sparse_step2 = int64_t{23} * 23;
+  ASSERT_NE(plan.edges, sparse_step2);
+  const ExtNodeId start(0);
+  const std::vector<ExtNodeId> all = AllNodes(g);
+  BackwardWalkerBatch adaptive(g, {.mode = PropagationMode::kAdaptive,
+                                   .num_threads = 1});
+  BackwardWalkerBatch sparse(g, {.mode = PropagationMode::kSparse,
+                                 .num_threads = 1});
+  const DhtParams p = DhtParams::Lambda(0.2);
+  EXPECT_EQ(adaptive.Run(p, 2, {&start, 1}, all),
+            sparse.Run(p, 2, {&start, 1}, all));
+  EXPECT_EQ(adaptive.edges_relaxed(), 23 + plan.edges);
+  EXPECT_EQ(sparse.edges_relaxed(), 23 + sparse_step2);
 }
 
 TEST(PropagateTest, MassConservedWithoutAbsorption) {
-  // A PPR-style (non-absorbing) walk on a graph with no sinks keeps
-  // total mass at exactly... well, within FP error of 1.
+  // A non-absorbing (PPR) walk on a directed cycle keeps all of its
+  // mass: it sits on node (3 + i) mod 11 at step i with probability
+  // exactly 1, so every target collects the closed-form visit sum.
   Graph g = CycleGraph(11);
-  for (auto mode : {PropagationMode::kDense, PropagationMode::kSparse,
-                    PropagationMode::kAdaptive}) {
-    Propagator engine(g, Propagator::Direction::kForward, mode);
-    engine.Reset(IntNodeId(3));
-    for (int s = 0; s < 25; ++s) engine.Step();
-    double total = 0.0;
-    engine.ForEachMass([&](NodeId, double m) { total += m; });
-    EXPECT_NEAR(total, 1.0, 1e-12);
+  const DhtParams p = DhtParams::PersonalizedPageRank(0.7);
+  const int d = 25;
+  for (PropagationMode mode : kModes) {
+    ForwardWalkerBatch batch(g, {.mode = mode, .num_threads = 1});
+    const ExtNodeId source(3);
+    for (NodeId v = 0; v < 11; ++v) {
+      if (v == 3) continue;
+      double expect = p.beta;
+      double lambda_pow = 1.0;
+      for (int i = 1; i <= d; ++i) {
+        lambda_pow *= p.lambda;
+        if ((3 + i) % 11 == v) expect += p.alpha * lambda_pow;
+      }
+      const ExtNodeId target(v);
+      EXPECT_NEAR(batch.Run(p, d, {&source, 1}, {&target, 1})[0], expect,
+                  1e-12)
+          << "v=" << v << " mode=" << static_cast<int>(mode);
+    }
   }
 }
 
-TEST(PropagateTest, ResetDropsAllMass) {
+TEST(PropagateTest, ForwardRunsReuseWorkspaceCleanly) {
   Graph g = TwoCommunityGraph();
-  Propagator engine(g, Propagator::Direction::kBackward,
-                    PropagationMode::kAdaptive);
-  engine.Reset(IntNodeId(0));
-  for (int s = 0; s < 6; ++s) engine.Step();
-  engine.Reset(IntNodeId(5));
-  double total = 0.0;
-  int count = 0;
-  engine.ForEachMass([&](NodeId u, double m) {
-    total += m;
-    ++count;
-    EXPECT_EQ(u, 5);
-  });
-  EXPECT_EQ(count, 1);
-  EXPECT_DOUBLE_EQ(total, 1.0);
+  const DhtParams p = DhtParams::Lambda(0.2);
+  ForwardWalkerBatch batch(g, {.num_threads = 1});
+  const ExtNodeId a(0), b(5), target(9);
+  const double first = batch.Run(p, 6, {&a, 1}, {&target, 1})[0];
+  batch.Run(p, 6, {&b, 1}, {&target, 1});  // dirty the workspace
+  EXPECT_EQ(batch.Run(p, 6, {&a, 1}, {&target, 1})[0], first);
 }
 
 // ------------------------------------------------- batched evaluator
 
-TEST(BackwardWalkerBatchTest, MatchesSequentialWalkerLoop) {
-  // The issue's acceptance shape: batch(T, S) == per-target sequential
-  // walks, for target counts that exercise full and partial lane blocks.
+TEST(BackwardWalkerBatchTest, MatchesDenseReferenceLoop) {
+  // batch(T, S) == the dense reference per target, bit for bit, for
+  // target counts that exercise full and partial lane blocks.
   Graph g = RandomGraph(50, 160, 34, true, true);
   std::vector<ExtNodeId> sources;
   for (NodeId u = 0; u < 20; ++u) sources.push_back(ExtNodeId(u));
@@ -208,13 +227,12 @@ TEST(BackwardWalkerBatchTest, MatchesSequentialWalkerLoop) {
       BackwardWalkerBatch batch(g);
       std::vector<double> got = batch.Run(p, 8, targets, sources);
       ASSERT_EQ(got.size(), targets.size() * sources.size());
-      BackwardWalker walker(g);
       for (std::size_t t = 0; t < targets.size(); ++t) {
-        walker.Reset(p, targets[t]);
-        walker.Advance(8);
+        const std::vector<double> want =
+            RefBackwardScores(g, p, 8, targets[t]);
         for (std::size_t s = 0; s < sources.size(); ++s) {
-          EXPECT_NEAR(got[t * sources.size() + s], walker.Score(sources[s]),
-                      kTol)
+          EXPECT_EQ(got[t * sources.size() + s],
+                    want[static_cast<std::size_t>(sources[s].value())])
               << "first_hit=" << p.first_hit << " T=" << num_targets
               << " t=" << t << " s=" << s;
         }
@@ -230,13 +248,11 @@ TEST(BackwardWalkerBatchTest, DuplicateTargetsShareALaneRow) {
   std::vector<ExtNodeId> sources = {ExtNodeId(0), ExtNodeId(1), ExtNodeId(3), ExtNodeId(9)};
   BackwardWalkerBatch batch(g);
   std::vector<double> got = batch.Run(p, 6, targets, sources);
-  BackwardWalker walker(g);
   for (std::size_t t = 0; t < targets.size(); ++t) {
-    walker.Reset(p, targets[t]);
-    walker.Advance(6);
+    const std::vector<double> want = RefBackwardScores(g, p, 6, targets[t]);
     for (std::size_t s = 0; s < sources.size(); ++s) {
-      EXPECT_NEAR(got[t * sources.size() + s], walker.Score(sources[s]),
-                  kTol);
+      EXPECT_EQ(got[t * sources.size() + s],
+                want[static_cast<std::size_t>(sources[s].value())]);
     }
   }
 }

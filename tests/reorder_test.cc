@@ -12,6 +12,7 @@
 ///     (layout-epoch-aware GraphFingerprint), even when two layouts'
 ///     CSR bits coincide.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <vector>
@@ -21,11 +22,8 @@
 #include "core/nl_join.h"
 #include "core/partial_join.h"
 #include "datasets/perturb.h"
-#include "dht/backward.h"
 #include "dht/backward_batch.h"
-#include "dht/forward.h"
 #include "dht/forward_batch.h"
-#include "dht/propagate.h"
 #include "graph/graph_builder.h"
 #include "graph/graph_io.h"
 #include "graph/reorder.h"
@@ -44,6 +42,8 @@ namespace {
 
 using testing::RandomGraph;
 using testing::Range;
+using testing::RefBackwardScores;
+using testing::RefForwardScore;
 
 /// Graph of `clusters` mutually unreachable random clusters of
 /// `cluster_nodes` nodes — the restricted sweep's home turf.
@@ -138,41 +138,35 @@ TEST(ReorderTest, ReorderOfReorderedComposesToOriginalExternalIds) {
   EXPECT_EQ(direct.layout_epoch(), twice.layout_epoch());
 }
 
-/// Walks `d` steps from `seed` (external) and returns the mass vector
-/// indexed by EXTERNAL node id.
-std::vector<double> MassAfter(const Graph& g, Propagator::Direction dir,
-                              PropagationMode mode, NodeId seed, int d) {
-  Propagator engine(g, dir, mode);
-  engine.Reset(g.ToInternal(ExtNodeId(seed)));
-  for (int i = 0; i < d; ++i) engine.Step();
-  std::vector<double> mass(static_cast<std::size_t>(g.num_nodes()), 0.0);
-  engine.ForEachMass([&](NodeId u, double m) {
-    mass[static_cast<std::size_t>(g.ToExternal(IntNodeId(u)).value())] = m;
-  });
-  return mass;
+std::vector<ExtNodeId> AllNodes(const Graph& g) {
+  std::vector<ExtNodeId> all;
+  for (NodeId u = 0; u < g.num_nodes(); ++u) all.emplace_back(u);
+  return all;
 }
 
-TEST(ReorderTest, PropagatorBitIdenticalAcrossLayoutsAndModes) {
+TEST(ReorderTest, EnginesBitIdenticalAcrossLayoutsAndModes) {
   Graph g = RandomGraph(120, 500, 21, true, true);
   Graph deg = Reordered(g, ReorderKind::kDegree);
   Graph rcm = Reordered(g, ReorderKind::kRcm);
-  for (auto dir :
-       {Propagator::Direction::kForward, Propagator::Direction::kBackward}) {
-    for (NodeId seed : {0, 17, 63, 119}) {
-      std::vector<double> want =
-          MassAfter(g, dir, PropagationMode::kAdaptive, seed, 6);
-      for (const Graph* other : {&g, &deg, &rcm}) {
-        for (auto mode : {PropagationMode::kDense, PropagationMode::kSparse,
-                          PropagationMode::kAdaptive}) {
-          std::vector<double> got = MassAfter(*other, dir, mode, seed, 6);
-          ASSERT_EQ(want.size(), got.size());
-          for (std::size_t u = 0; u < want.size(); ++u) {
-            // Bit-identical, not approximately equal.
-            ASSERT_EQ(want[u], got[u])
-                << "dir=" << static_cast<int>(dir) << " seed=" << seed
-                << " node=" << u;
-          }
-        }
+  const DhtParams p = DhtParams::Lambda(0.3);
+  const std::vector<ExtNodeId> all = AllNodes(g);
+  const std::vector<ExtNodeId> probes = {ExtNodeId(5), ExtNodeId(40),
+                                         ExtNodeId(99)};
+  for (NodeId seed : {0, 17, 63, 119}) {
+    const ExtNodeId q(seed);
+    const std::vector<double> backward = RefBackwardScores(g, p, 6, q);
+    std::vector<double> forward;
+    for (ExtNodeId v : probes) {
+      forward.push_back(RefForwardScore(g, p, 6, q, v));
+    }
+    for (const Graph* other : {&g, &deg, &rcm}) {
+      for (auto mode : {PropagationMode::kDense, PropagationMode::kSparse,
+                        PropagationMode::kAdaptive}) {
+        // Bit-identical, not approximately equal.
+        BackwardWalkerBatch bw(*other, {.mode = mode, .num_threads = 1});
+        ASSERT_EQ(bw.Run(p, 6, {&q, 1}, all), backward) << "seed=" << seed;
+        ForwardWalkerBatch fw(*other, {.mode = mode, .num_threads = 1});
+        ASSERT_EQ(fw.Run(p, 6, {&q, 1}, probes), forward) << "seed=" << seed;
       }
     }
   }
@@ -255,27 +249,30 @@ TEST(ReorderTest, RestrictedSweepBitIdenticalAndCheaper) {
   Graph g = ClusteredGraph(4, 50, 300, 77);
   ASSERT_GT(g.Reachability().num_components(), 1);
 
-  for (auto dir :
-       {Propagator::Direction::kForward, Propagator::Direction::kBackward}) {
-    Propagator restricted(g, dir, PropagationMode::kDense,
-                          /*restrict_dense=*/true);
-    Propagator full(g, dir, PropagationMode::kDense,
-                    /*restrict_dense=*/false);
-    restricted.Reset(g.ToInternal(ExtNodeId(7)));
-    full.Reset(g.ToInternal(ExtNodeId(7)));
-    for (int i = 0; i < 6; ++i) {
-      restricted.Step();
-      full.Step();
-    }
-    for (NodeId u = 0; u < g.num_nodes(); ++u) {
-      ASSERT_EQ(restricted.Mass(IntNodeId(u)), full.Mass(IntNodeId(u))) << u;
-    }
-    // The restricted plan covers one cluster: ~1/4 of the edge bill.
-    EXPECT_LT(restricted.edges_relaxed(), full.edges_relaxed() / 2);
-    EXPECT_FALSE(restricted.plan().full);
-  }
+  // Single walks in both directions: identical bits, ~1/4 of the edge
+  // bill (the restricted plan covers one cluster).
+  const DhtParams lambda = DhtParams::Lambda(0.2);
+  const ExtNodeId seed(7);
+  const std::vector<ExtNodeId> all = AllNodes(g);
+  BackwardWalkerBatch bw_on(g, {.mode = PropagationMode::kDense,
+                                .num_threads = 1});
+  BackwardWalkerBatch bw_off(g, {.mode = PropagationMode::kDense,
+                                 .num_threads = 1,
+                                 .restrict_dense = false});
+  ASSERT_EQ(bw_on.Run(lambda, 6, {&seed, 1}, all),
+            bw_off.Run(lambda, 6, {&seed, 1}, all));
+  EXPECT_LT(bw_on.edges_relaxed(), bw_off.edges_relaxed() / 2);
+  ForwardWalkerBatch fw_on(g, {.mode = PropagationMode::kDense,
+                               .num_threads = 1});
+  ForwardWalkerBatch fw_off(g, {.mode = PropagationMode::kDense,
+                                .num_threads = 1,
+                                .restrict_dense = false});
+  const std::vector<ExtNodeId> probes = {ExtNodeId(3), ExtNodeId(21)};
+  ASSERT_EQ(fw_on.Run(lambda, 6, {&seed, 1}, probes),
+            fw_off.Run(lambda, 6, {&seed, 1}, probes));
+  EXPECT_LT(fw_on.edges_relaxed(), fw_off.edges_relaxed() / 2);
 
-  // Batch engines: same rows, restricted vs full. The targets share a
+  // Full lane blocks: same rows, restricted vs full. The targets share a
   // lane block AND a cluster, so the block's union plan stays local
   // (lanes from different components would widen it to their union).
   std::vector<ExtNodeId> targets = {ExtNodeId(3),  ExtNodeId(11),
@@ -283,12 +280,11 @@ TEST(ReorderTest, RestrictedSweepBitIdenticalAndCheaper) {
                                     ExtNodeId(35), ExtNodeId(43)};
   std::vector<ExtNodeId> sources;
   for (NodeId p = 0; p < 200; p += 7) sources.push_back(ExtNodeId(p));
-  DhtParams params = DhtParams::Lambda(0.2);
   BackwardWalkerBatch on(g, {.mode = PropagationMode::kDense});
   BackwardWalkerBatch off(g, {.mode = PropagationMode::kDense,
                               .restrict_dense = false});
-  auto rows_on = on.Run(params, 6, targets, sources);
-  auto rows_off = off.Run(params, 6, targets, sources);
+  auto rows_on = on.Run(lambda, 6, targets, sources);
+  auto rows_off = off.Run(lambda, 6, targets, sources);
   ASSERT_EQ(rows_on.size(), rows_off.size());
   for (std::size_t i = 0; i < rows_on.size(); ++i) {
     ASSERT_EQ(rows_on[i], rows_off[i]);
@@ -296,34 +292,76 @@ TEST(ReorderTest, RestrictedSweepBitIdenticalAndCheaper) {
   EXPECT_LT(on.edges_relaxed(), off.edges_relaxed() / 2);
 
   // The adaptive policy flips a saturated-but-local walk to the
-  // restricted dense sweep (against the old global threshold it would
-  // have stayed sparse and paid the frontier penalty forever).
-  Propagator adaptive(g, Propagator::Direction::kBackward,
-                      PropagationMode::kAdaptive);
-  adaptive.Reset(g.ToInternal(ExtNodeId(7)));
-  bool went_dense = false;
-  for (int i = 0; i < 8; ++i) {
-    adaptive.Step();
-    went_dense = went_dense || adaptive.last_step_dense();
-  }
-  EXPECT_TRUE(went_dense);
+  // restricted dense sweep: half a cluster's frontier already outweighs
+  // the cluster's own dense cost, while against the old global
+  // threshold it would have stayed sparse and paid the frontier penalty
+  // forever.
+  const NodeId start = g.ToInternal(seed).value();
+  const SweepPlan local = g.PlanDenseSweep({&start, 1});
+  EXPECT_FALSE(local.full);
+  const ReachIndex& reach = g.Reachability();
+  std::span<const NodeId> cluster = reach.Nodes(reach.comp_of[start]);
+  std::span<const NodeId> half = cluster.first(cluster.size() / 2);
+  int64_t frontier_edges = 0;
+  for (NodeId u : half) frontier_edges += g.InDegree(IntNodeId(u));
+  EXPECT_TRUE(FrontierPrefersDense(half.size(), frontier_edges, local.cost));
+  EXPECT_FALSE(FrontierPrefersDense(half.size(), frontier_edges,
+                                    g.FullSweepPlan().cost));
+
+  // And the engine makes that flip against the restricted cost. Replayed
+  // one level at a time, a step of an adaptive walk bills exactly its
+  // plan's edges when it sweeps dense, and the kSparse walk's frontier
+  // degrees (over the same bit-identical frontier) when it pushes. With
+  // the restricted plan the walk goes dense a step earlier than with
+  // the full-graph plan, whose cost the half-cluster frontier does not
+  // yet outweigh.
+  ASSERT_EQ(local.edges, bw_on.edges_relaxed() / 6);
+  auto bill_per_step = [&](PropagationMode mode, bool restrict_dense) {
+    std::vector<int64_t> steps;
+    int64_t before = 0;
+    for (int d = 1; d <= 8; ++d) {
+      BackwardWalkerBatch walk(g, {.mode = mode,
+                                   .num_threads = 1,
+                                   .restrict_dense = restrict_dense});
+      walk.Run(lambda, d, {&seed, 1}, all);
+      steps.push_back(walk.edges_relaxed() - before);
+      before = walk.edges_relaxed();
+    }
+    return steps;
+  };
+  const std::vector<int64_t> sparse =
+      bill_per_step(PropagationMode::kSparse, true);
+  // First dense step of an adaptive walk whose dense steps bill
+  // `dense_edges`; every step must be one of the two kinds.
+  auto first_dense_step = [&](bool restrict_dense, int64_t dense_edges) {
+    const std::vector<int64_t> bills =
+        bill_per_step(PropagationMode::kAdaptive, restrict_dense);
+    std::size_t first = bills.size();
+    for (std::size_t i = 0; i < bills.size(); ++i) {
+      if (bills[i] == sparse[i]) continue;
+      EXPECT_EQ(bills[i], dense_edges) << "step " << i + 1;
+      first = std::min(first, i);
+    }
+    return first;
+  };
+  const std::size_t restricted_flip = first_dense_step(true, local.edges);
+  const std::size_t full_flip = first_dense_step(false, g.num_edges());
+  EXPECT_GT(restricted_flip, 0u);  // a one-node start pushes
+  EXPECT_LT(restricted_flip, full_flip);
 }
 
 TEST(ReorderTest, RestrictedSweepOnReorderedClusteredGraph) {
   Graph g = ClusteredGraph(3, 40, 200, 99);
   Graph rg = Reordered(g, ReorderKind::kRcm);
   DhtParams params = DhtParams::Lambda(0.25);
-  BackwardWalker a(g);
-  BackwardWalker b(rg);
+  BackwardWalkerBatch a(g, {.num_threads = 1});
+  BackwardWalkerBatch b(rg, {.num_threads = 1});
+  const std::vector<ExtNodeId> all = AllNodes(g);
   for (NodeId q : {1, 45, 90}) {
-    a.Reset(params, ExtNodeId(q));
-    b.Reset(params, ExtNodeId(q));
-    a.Advance(7);
-    b.Advance(7);
-    for (NodeId u = 0; u < g.num_nodes(); ++u) {
-      ASSERT_EQ(a.Score(ExtNodeId(u)), b.Score(ExtNodeId(u)))
-          << "q=" << q << " u=" << u;
-    }
+    const ExtNodeId target(q);
+    ASSERT_EQ(a.Run(params, 7, {&target, 1}, all),
+              b.Run(params, 7, {&target, 1}, all))
+        << "q=" << q;
   }
 }
 

@@ -1,8 +1,8 @@
 /// \file tests/resume_test.cc
 /// \brief Resume-equivalence property tests: continuing a walk from its
-/// current level (or from a saved/restored state, or from a batch
-/// engine's persistent per-target state) must be BIT-identical to a
-/// from-scratch walk of the same depth, under both first-hit (DHT) and
+/// saved per-target (or per-pair) state — kept in place, or taken out
+/// and imported elsewhere — must be BIT-identical to a from-scratch
+/// walk of the same depth, under both first-hit (DHT) and
 /// visiting (PPR) semantics — the determinism contract of DESIGN.md §3
 /// that makes resumable deepening byte-safe.
 
@@ -11,11 +11,8 @@
 #include <cstring>
 #include <vector>
 
-#include "dht/backward.h"
 #include "dht/backward_batch.h"
-#include "dht/forward.h"
 #include "dht/forward_batch.h"
-#include "dht/walker_state.h"
 #include "graph/reorder.h"
 #include "join2/b_idj.h"
 #include "join2/f_idj.h"
@@ -26,7 +23,8 @@ namespace {
 
 using testing::RandomGraph;
 using testing::Range;
-using testing::StarGraph;
+using testing::RefBackwardScores;
+using testing::RefForwardScore;
 using testing::TwoCommunityGraph;
 
 std::vector<DhtParams> Semantics() {
@@ -34,27 +32,33 @@ std::vector<DhtParams> Semantics() {
           DhtParams::Exponential(), DhtParams::PersonalizedPageRank(0.7)};
 }
 
-// --------------------------------------------------- scalar walkers
+// ------------------------------------------------ split advances
 
 TEST(ResumeTest, BackwardSplitAdvanceIsBitIdentical) {
   Graph g = RandomGraph(45, 140, 41, true, true);
+  std::vector<ExtNodeId> all;
+  for (NodeId u = 0; u < g.num_nodes(); ++u) all.emplace_back(u);
+  const ExtNodeId target(7);
+  const std::size_t slot = 0;
   for (const DhtParams& p : Semantics()) {
     for (auto mode : {PropagationMode::kDense, PropagationMode::kSparse,
                       PropagationMode::kAdaptive}) {
-      BackwardWalker whole(g, mode);
-      BackwardWalker split(g, mode);
+      BackwardWalkerBatch batch(g, {.mode = mode, .num_threads = 1});
       for (int l : {1, 2, 4}) {
-        whole.Reset(p, ExtNodeId(7));
-        whole.Advance(2 * l);
-        split.Reset(p, ExtNodeId(7));
-        split.Advance(l);
-        split.Advance(l);
-        for (NodeId u = 0; u < g.num_nodes(); ++u) {
-          // Bit-identical, not merely close: resume must not perturb
-          // the floating-point trajectory.
-          EXPECT_EQ(whole.Score(ExtNodeId(u)), split.Score(ExtNodeId(u)))
-              << "first_hit=" << p.first_hit << " l=" << l << " u=" << u;
-        }
+        const std::vector<double> whole =
+            batch.Run(p, 2 * l, {&target, 1}, all);
+        BackwardBatchStates states(1);
+        std::vector<double> split;
+        auto keep = [&](std::size_t, const double* row) {
+          split.assign(row, row + all.size());
+        };
+        batch.AdvanceChunked(p, l, {&target, 1}, {&slot, 1}, all, states,
+                             keep);
+        batch.AdvanceChunked(p, 2 * l, {&target, 1}, {&slot, 1}, all, states,
+                             keep);
+        // Bit-identical, not merely close: resume must not perturb the
+        // floating-point trajectory.
+        EXPECT_EQ(whole, split) << "first_hit=" << p.first_hit << " l=" << l;
       }
     }
   }
@@ -62,143 +66,61 @@ TEST(ResumeTest, BackwardSplitAdvanceIsBitIdentical) {
 
 TEST(ResumeTest, ForwardSplitAdvanceIsBitIdentical) {
   Graph g = RandomGraph(45, 140, 42, false, true);
+  const ExtNodeId source(2), target(31);
+  const std::size_t slot = 0;
   for (const DhtParams& p : Semantics()) {
-    ForwardWalker whole(g);
-    ForwardWalker split(g);
+    ForwardWalkerBatch batch(g, {.num_threads = 1});
     for (int l : {1, 3, 4}) {
-      whole.Reset(p, ExtNodeId(2), ExtNodeId(31));
-      whole.Advance(2 * l);
-      split.Reset(p, ExtNodeId(2), ExtNodeId(31));
-      split.Advance(l);
-      split.Advance(l);
-      EXPECT_EQ(whole.Score(), split.Score())
-          << "first_hit=" << p.first_hit << " l=" << l;
-      for (int i = 1; i <= 2 * l; ++i) {
-        EXPECT_EQ(whole.HitProbability(i), split.HitProbability(i));
-      }
+      const double whole = batch.Run(p, 2 * l, {&source, 1}, {&target, 1})[0];
+      ForwardBatchStates states;
+      double split = 0.0;
+      auto keep = [&](std::size_t, double score) { split = score; };
+      batch.AdvancePairs(p, l, {&source, 1}, {&slot, 1}, target, states, keep);
+      batch.AdvancePairs(p, 2 * l, {&source, 1}, {&slot, 1}, target, states,
+                         keep);
+      EXPECT_EQ(whole, split) << "first_hit=" << p.first_hit << " l=" << l;
     }
   }
 }
 
-TEST(ResumeTest, BackwardSaveRestoreResumesExactly) {
+TEST(ResumeTest, BackwardTakeImportResumesExactly) {
+  // The serving cache's round trip: Take a saved walk out of one states
+  // object, Import it into another, and resume — bit-identical to an
+  // uninterrupted walk of the same depth.
   Graph g = TwoCommunityGraph();
   DhtParams p = DhtParams::Lambda(0.3);
-  BackwardWalker reference(g);
-  reference.Reset(p, ExtNodeId(7));
-  reference.Advance(8);
+  std::vector<ExtNodeId> all;
+  for (NodeId u = 0; u < g.num_nodes(); ++u) all.emplace_back(u);
+  const ExtNodeId target(7);
+  const std::size_t slot = 0;
+  BackwardWalkerBatch batch(g, {.num_threads = 1});
+  const std::vector<double> reference = batch.Run(p, 8, {&target, 1}, all);
 
-  BackwardWalker walker(g);
-  walker.Reset(p, ExtNodeId(7));
-  walker.Advance(3);
-  BackwardWalkerState snapshot;
-  walker.Save(&snapshot);
+  auto ignore = [](std::size_t, const double*) {};
+  BackwardBatchStates first(1);
+  batch.AdvanceChunked(p, 3, {&target, 1}, {&slot, 1}, all, first, ignore);
+  BackwardBatchSnapshot snapshot;
+  ASSERT_TRUE(first.Take(slot, &snapshot));
   EXPECT_EQ(snapshot.level, 3);
-  EXPECT_EQ(snapshot.target.value(), 7);
-  // Perturb the walker with unrelated targets, then restore.
-  walker.Reset(p, ExtNodeId(2));
-  walker.Advance(5);
-  walker.Restore(p, snapshot);
-  EXPECT_EQ(walker.level(), 3);
-  EXPECT_EQ(walker.target().value(), 7);
-  walker.Advance(5);
-  for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    EXPECT_EQ(walker.Score(ExtNodeId(u)), reference.Score(ExtNodeId(u)))
-        << "u=" << u;
-  }
+  EXPECT_EQ(first.level(slot), 0);
+  EXPECT_FALSE(first.Take(slot, &snapshot));  // the slot is empty now
+  // Perturb the engine's workspaces with an unrelated target.
+  const ExtNodeId other(2);
+  batch.Run(p, 5, {&other, 1}, all);
+
+  BackwardBatchStates second(1);
+  ASSERT_TRUE(second.Import(slot, snapshot));
+  EXPECT_EQ(second.level(slot), 3);
+  std::vector<double> resumed;
+  EXPECT_EQ(batch.AdvanceChunked(p, 8, {&target, 1}, {&slot, 1}, all, second,
+                                 [&](std::size_t, const double* row) {
+                                   resumed.assign(row, row + all.size());
+                                 }),
+            0);
+  EXPECT_EQ(resumed, reference);
 }
 
-TEST(ResumeTest, ForwardSaveRestoreResumesExactly) {
-  Graph g = TwoCommunityGraph();
-  DhtParams p = DhtParams::PersonalizedPageRank(0.8);  // PPR path too
-  ForwardWalker reference(g);
-  reference.Reset(p, ExtNodeId(0), ExtNodeId(9));
-  reference.Advance(9);
-
-  ForwardWalker walker(g);
-  walker.Reset(p, ExtNodeId(0), ExtNodeId(9));
-  walker.Advance(4);
-  ForwardWalkerState snapshot;
-  walker.Save(&snapshot);
-  walker.Reset(p, ExtNodeId(3), ExtNodeId(6));
-  walker.Advance(2);
-  walker.Restore(p, snapshot);
-  walker.Advance(5);
-  EXPECT_EQ(walker.Score(), reference.Score());
-  EXPECT_EQ(walker.level(), 9);
-  for (int i = 1; i <= 9; ++i) {
-    EXPECT_EQ(walker.HitProbability(i), reference.HitProbability(i));
-  }
-}
-
-// ------------------------------------------------ walker state pool
-
-TEST(ResumeTest, WalkerStatePoolFindsPutAndEvictsLru) {
-  Graph g = StarGraph(16);
-  DhtParams p = DhtParams::Lambda(0.2);
-  BackwardWalker walker(g);
-
-  BackwardWalkerState proto;
-  walker.Reset(p, ExtNodeId(1));
-  walker.Advance(2);
-  walker.Save(&proto);
-  const std::size_t per_state = proto.ApproxBytes();
-
-  // Budget for about two states.
-  WalkerStatePool<BackwardWalkerState> pool(2 * per_state + per_state / 2);
-  pool.Put(10, proto);
-  pool.Put(11, proto);
-  EXPECT_EQ(pool.size(), 2u);
-  ASSERT_NE(pool.Find(10), nullptr);  // bump 10 to most-recent
-  pool.Put(12, proto);                // evicts 11, the LRU entry
-  EXPECT_EQ(pool.Find(11), nullptr);
-  EXPECT_NE(pool.Find(10), nullptr);
-  EXPECT_NE(pool.Find(12), nullptr);
-  pool.Erase(10);
-  EXPECT_EQ(pool.Find(10), nullptr);
-  EXPECT_EQ(pool.size(), 1u);
-
-  // A state larger than the whole budget is not retained.
-  WalkerStatePool<BackwardWalkerState> tiny(1);
-  tiny.Put(1, proto);
-  EXPECT_EQ(tiny.Find(1), nullptr);
-}
-
-TEST(ResumeTest, WalkerStatePoolRetuneGrowsOnThrashShrinksOnIdle) {
-  Graph g = StarGraph(16);
-  DhtParams p = DhtParams::Lambda(0.2);
-  BackwardWalker walker(g);
-  BackwardWalkerState proto;
-  walker.Reset(p, ExtNodeId(1));
-  walker.Advance(2);
-  walker.Save(&proto);
-  const std::size_t per_state = proto.ApproxBytes();
-
-  // THRASH: four keys cycling through a one-state budget — misses and
-  // evictions dominate, so the feedback autotuner doubles the budget.
-  WalkerStatePool<BackwardWalkerState> pool(per_state + per_state / 2);
-  for (uint64_t k = 0; k < 8; ++k) {
-    EXPECT_EQ(pool.Find(k % 4), nullptr);
-    pool.Put(k % 4, proto);
-  }
-  EXPECT_GT(pool.evictions(), 0);
-  const std::size_t before = pool.max_bytes();
-  EXPECT_EQ(pool.Retune(per_state, 100 * per_state), 2 * before);
-  EXPECT_EQ(pool.budget_grows(), 1);
-  // No new activity since: the budget holds steady.
-  EXPECT_EQ(pool.Retune(per_state, 100 * per_state), 2 * before);
-  EXPECT_EQ(pool.budget_grows(), 1);
-
-  // IDLE: all hits, no evictions, resident far below the budget — the
-  // autotuner halves it (never below `lo` or the resident bytes).
-  WalkerStatePool<BackwardWalkerState> idle(64 * per_state);
-  idle.Put(1, proto);
-  for (int i = 0; i < 8; ++i) EXPECT_NE(idle.Find(1), nullptr);
-  EXPECT_EQ(idle.Retune(per_state, 100 * per_state), 32 * per_state);
-  EXPECT_EQ(idle.budget_shrinks(), 1);
-  // Repeated idle periods keep shrinking, but never below `lo`.
-  for (int i = 0; i < 20; ++i) idle.Retune(4 * per_state, 100 * per_state);
-  EXPECT_EQ(idle.max_bytes(), 4 * per_state);
-}
+// ------------------------------------------------ batch state pools
 
 TEST(ResumeTest, BatchWorkspacePoolCapDiscardsIdleWorkspaces) {
   Graph g = RandomGraph(60, 200, 91);
@@ -357,7 +279,7 @@ TEST(ResumeTest, BackwardBatchDropFreesAndRestarts) {
 
 // -------------------------------------------------- batched forward
 
-TEST(ResumeTest, ForwardBatchMatchesScalarWalker) {
+TEST(ResumeTest, ForwardBatchMatchesDenseReference) {
   Graph g = RandomGraph(50, 160, 46, true, true);
   std::vector<ExtNodeId> sources;
   for (NodeId u = 0; u < 21; ++u) sources.push_back(ExtNodeId(u));
@@ -368,13 +290,12 @@ TEST(ResumeTest, ForwardBatchMatchesScalarWalker) {
     ForwardWalkerBatch batch(g);
     std::vector<double> got = batch.Run(p, 8, sources, targets);
     ASSERT_EQ(got.size(), sources.size() * targets.size());
-    ForwardWalker walker(g);
     for (std::size_t s = 0; s < sources.size(); ++s) {
       for (std::size_t t = 0; t < targets.size(); ++t) {
         if (sources[s] == targets[t]) continue;
-        double want = walker.Compute(p, 8, sources[s], targets[t]);
+        double want = RefForwardScore(g, p, 8, sources[s], targets[t]);
         // The sorted-support contract makes batch lanes bit-equal to
-        // the scalar engine, not merely 1e-12-close.
+        // the dense reference loop, not merely 1e-12-close.
         EXPECT_EQ(got[s * targets.size() + t], want)
             << "first_hit=" << p.first_hit << " s=" << s << " t=" << t;
       }
@@ -458,12 +379,10 @@ TEST(ResumeTest, ForwardBatchPairResumeMatchesFromScratchBitwise) {
 
 // ------------------------------------- fused multi-target scheduler
 
-TEST(ResumeTest, BackwardBatchMatchesScalarWalkerBitwise) {
-  // The batch engine accumulates beta-exclusive delta rows in the
-  // scalar walker's exact step order and adds beta at output, so the
-  // two engines are BIT-identical — the property that lets the
-  // incremental join's batch-driven initial schedule coexist with the
-  // scalar Next() path without perturbing a single result.
+TEST(ResumeTest, BackwardBatchMatchesDenseReferenceBitwise) {
+  // The batch engine accumulates beta-exclusive delta rows in step
+  // order and adds beta at output — exactly the dense reference loop's
+  // sum — so the two are BIT-identical whatever the lane grouping.
   Graph g = RandomGraph(50, 170, 61, true, true);
   std::vector<ExtNodeId> targets = {
       ExtNodeId(2), ExtNodeId(7), ExtNodeId(13), ExtNodeId(21),
@@ -473,13 +392,12 @@ TEST(ResumeTest, BackwardBatchMatchesScalarWalkerBitwise) {
   for (const DhtParams& p : Semantics()) {
     BackwardWalkerBatch batch(g);
     std::vector<double> got = batch.Run(p, 8, targets, sources);
-    BackwardWalker walker(g);
     for (std::size_t t = 0; t < targets.size(); ++t) {
-      walker.Reset(p, targets[t]);
-      walker.Advance(8);
+      const std::vector<double> want = RefBackwardScores(g, p, 8, targets[t]);
       for (std::size_t s = 0; s < sources.size(); ++s) {
         if (sources[s] == targets[t]) continue;
-        EXPECT_EQ(got[t * sources.size() + s], walker.Score(sources[s]))
+        EXPECT_EQ(got[t * sources.size() + s],
+                  want[static_cast<std::size_t>(sources[s].value())])
             << "first_hit=" << p.first_hit << " t=" << t << " s=" << s;
       }
     }
@@ -634,56 +552,6 @@ TEST(ResumeTest, BackwardAdvanceManyMultiGroupMatchesSequentialBitwise) {
   }
   EXPECT_EQ(fused.scheduler_barriers(), 4);
   EXPECT_EQ(seq.scheduler_barriers(), 8);
-}
-
-TEST(ResumeTest, NarrowLaneWidthIsBitIdenticalToDefault) {
-  // kLaneWidth = 4: half the workspace bytes per block, twice the
-  // blocks in flight, identical bits — lanes are independent columns
-  // and the union support only ever contributes exact zeros to lanes
-  // that don't own a node.
-  Graph g = RandomGraph(50, 170, 64, true, true);
-  std::vector<ExtNodeId> targets = {
-      ExtNodeId(3), ExtNodeId(9), ExtNodeId(14), ExtNodeId(20),
-      ExtNodeId(27), ExtNodeId(33), ExtNodeId(38), ExtNodeId(44),
-      ExtNodeId(48)};
-  std::vector<ExtNodeId> sources;
-  for (NodeId u = 0; u < 22; ++u) sources.push_back(ExtNodeId(u));
-  std::vector<std::size_t> slots(targets.size());
-  for (std::size_t i = 0; i < targets.size(); ++i) slots[i] = i;
-  for (const DhtParams& p : Semantics()) {
-    BackwardWalkerBatchT<8> wide(g);
-    BackwardWalkerBatchT<4> narrow(g);
-    EXPECT_EQ(wide.Run(p, 8, targets, sources),
-              narrow.Run(p, 8, targets, sources))
-        << "first_hit=" << p.first_hit;
-
-    // The resumable deepening path too, per level.
-    BackwardBatchStates ws(targets.size()), ns(targets.size());
-    std::vector<double> wrow(targets.size() * sources.size());
-    std::vector<double> nrow(wrow.size());
-    for (int l : {1, 2, 4, 8}) {
-      wide.AdvanceChunked(p, l, targets, slots, sources, ws,
-                          [&](std::size_t i, const double* row) {
-                            std::copy(row, row + sources.size(),
-                                      wrow.data() + i * sources.size());
-                          });
-      narrow.AdvanceChunked(p, l, targets, slots, sources, ns,
-                            [&](std::size_t i, const double* row) {
-                              std::copy(row, row + sources.size(),
-                                        nrow.data() + i * sources.size());
-                            });
-      for (std::size_t i = 0; i < wrow.size(); ++i) {
-        EXPECT_EQ(nrow[i], wrow[i])
-            << "first_hit=" << p.first_hit << " l=" << l << " i=" << i;
-      }
-    }
-
-    ForwardWalkerBatchT<8> fwide(g);
-    ForwardWalkerBatchT<4> fnarrow(g);
-    EXPECT_EQ(fwide.Run(p, 8, sources, targets),
-              fnarrow.Run(p, 8, sources, targets))
-        << "first_hit=" << p.first_hit;
-  }
 }
 
 TEST(ResumeTest, BatchStatesRetuneGrowsOnThrashShrinksOnIdle) {

@@ -10,13 +10,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <future>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "core/nl_join.h"
 #include "core/partial_join.h"
 #include "dht/forward_batch.h"
-#include "dht/walker_state.h"
+#include "dht/batch_core.h"
 #include "join2/b_idj.h"
 #include "join2/incremental.h"
 #include "rankjoin/aggregate.h"
@@ -325,7 +328,7 @@ TEST(DhtJoinServiceTest, NestedLoopTablesWarmAndMatch) {
   }
 }
 
-TEST(DhtJoinServiceTest, PartialJoinIncrementalThroughSnapshotCache) {
+TEST(DhtJoinServiceTest, PartialJoinIncrementalThroughStateCache) {
   Graph g = RandomGraph(50, 180, 23, true, true);
   DhtParams p = DhtParams::Lambda(0.2);
   QueryGraph query;
@@ -349,10 +352,136 @@ TEST(DhtJoinServiceTest, PartialJoinIncrementalThroughSnapshotCache) {
       EXPECT_EQ((*reference)[i].f, (*result)[i].f);
     }
   }
-  // The deepening walks left snapshots behind and reused them.
+  // The deepening walks left states behind and read them back.
   CacheStats stats = service.cache_stats();
   EXPECT_GT(stats.insertions, 0);
   EXPECT_GT(stats.hits, 0);
+}
+
+// ------------------------------- one walk-state entry per (q, P) key
+
+/// A 2-way query (P, Q) and a one-edge PJ-i query over the same (P, Q):
+/// every target q of Q is one (q, P) walk-state key both of them use.
+struct SharedKeyFixture {
+  Graph g = RandomGraph(60, 220, 29, true, true);
+  DhtParams p = DhtParams::Lambda(0.2);
+  int d = 8;
+  NodeSet P = Range("P", 0, 18);
+  NodeSet Q = Range("Q", 22, 50);
+  std::size_t k = 12;
+  QueryGraph query;
+  SumAggregate f;
+
+  SharedKeyFixture() {
+    query.AddNodeSet(P);
+    query.AddNodeSet(Q);
+    DHTJOIN_CHECK(query.AddEdge(0, 1).ok());
+  }
+};
+
+void ExpectSameTuples(const std::vector<TupleAnswer>& got,
+                      const std::vector<TupleAnswer>& want, const char* what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].nodes, want[i].nodes) << what << " rank " << i;
+    EXPECT_EQ(got[i].edge_scores, want[i].edge_scores) << what << " rank " << i;
+    EXPECT_EQ(got[i].f, want[i].f) << what << " rank " << i;
+  }
+}
+
+/// Resident walk-state entries of `service`'s cache.
+std::vector<std::shared_ptr<const serve::CachedBatchState>> BatchStates(
+    DhtJoinService& service) {
+  std::vector<std::shared_ptr<const serve::CachedBatchState>> out;
+  for (const auto& e : service.cache().Export()) {
+    if (e.key.kind == CachePayload::kBatchState) {
+      out.push_back(
+          std::dynamic_pointer_cast<const serve::CachedBatchState>(e.entry));
+    }
+  }
+  return out;
+}
+
+TEST(SharedStateTest, TwoWayAndPjiShareStatesInEitherOrder) {
+  SharedKeyFixture fx;
+  BIdjJoin bidj;
+  auto two_way_want = bidj.Run(fx.g, fx.p, fx.d, fx.P, fx.Q, fx.k);
+  PartialJoin pji(PartialJoin::Options{.incremental = true});
+  auto nway_want = pji.Run(fx.g, fx.p, fx.d, fx.query, fx.f, fx.k);
+  ASSERT_TRUE(two_way_want.ok() && nway_want.ok());
+
+  const std::string path = ::testing::TempDir() + "serve_test_shared.snap";
+  for (bool two_way_first : {true, false}) {
+    auto run_pair = [&](DhtJoinService& service, const char* phase) {
+      for (int i = 0; i < 2; ++i) {
+        if ((i == 0) == two_way_first) {
+          serve::QueryStats qs;
+          auto got = service.TwoWay(fx.P, fx.Q, fx.k, &qs);
+          ASSERT_TRUE(got.ok());
+          ExpectBitIdentical(*got, *two_way_want, phase);
+          // Whichever query ran before left a state for every target.
+          if (i == 1) EXPECT_EQ(qs.warm_targets, fx.Q.size()) << phase;
+        } else {
+          auto got = service.Nway(
+              fx.query, fx.f, fx.k,
+              DhtJoinService::NwayAlgo::kPartialJoinIncremental);
+          ASSERT_TRUE(got.ok());
+          ExpectSameTuples(*got, *nway_want, phase);
+        }
+      }
+      // One entry per (q, P): the two queries share every key.
+      EXPECT_EQ(BatchStates(service).size(), fx.Q.size()) << phase;
+    };
+    DhtJoinService service(fx.g, fx.p, fx.d, {.num_threads = 1});
+    run_pair(service, two_way_first ? "cold, 2-way first" : "cold, PJ-i first");
+    run_pair(service, "warm");
+    ASSERT_TRUE(service.SaveWarmState(path).ok());
+    DhtJoinService restored(fx.g, fx.p, fx.d, {.num_threads = 1});
+    Result<int64_t> loaded = restored.LoadWarmState(path);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_GT(loaded.value(), 0);
+    run_pair(restored, "restored");
+  }
+  std::remove(path.c_str());
+}
+
+TEST(SharedStateTest, RowOnlyLevelDEntryAnswersLikeCold) {
+  // Nothing advances a walk past the service's d, so write-back keeps
+  // only the score row of a level-d state; reading that row must give
+  // the cold answer bit for bit.
+  SharedKeyFixture fx;
+  DhtJoinService service(fx.g, fx.p, fx.d, {.num_threads = 1});
+  auto cold = service.TwoWay(fx.P, fx.Q, fx.k);
+  ASSERT_TRUE(cold.ok());
+  std::size_t row_only = 0;
+  for (const auto& entry : BatchStates(service)) {
+    ASSERT_NE(entry, nullptr);
+    EXPECT_EQ(entry->snap.row.size(), fx.P.size());
+    if (entry->snap.level == fx.d) {
+      EXPECT_TRUE(entry->snap.mass.empty());
+      ++row_only;
+    }
+  }
+  ASSERT_GT(row_only, 0u);
+
+  serve::QueryStats qs;
+  auto warm = service.TwoWay(fx.P, fx.Q, fx.k, &qs);
+  ASSERT_TRUE(warm.ok());
+  ExpectBitIdentical(*warm, *cold, "row-only warm vs cold");
+  EXPECT_EQ(qs.warm_targets, fx.Q.size());
+
+  // The same rows through a fresh cold service at d = 1, where the
+  // whole schedule IS level d: PJ-i imports row-only states too.
+  DhtJoinService shallow(fx.g, fx.p, 1, {.num_threads = 1});
+  DhtJoinService shallow_cold(fx.g, fx.p, 1, {.num_threads = 1});
+  ASSERT_TRUE(shallow.TwoWay(fx.P, fx.Q, fx.k).ok());
+  auto want = shallow_cold.Nway(fx.query, fx.f, fx.k);
+  const int64_t hits_before = shallow.cache_stats().hits;
+  auto got = shallow.Nway(fx.query, fx.f, fx.k);
+  ASSERT_TRUE(want.ok() && got.ok());
+  ExpectSameTuples(*got, *want, "PJ-i from row-only level-d states");
+  EXPECT_GE(shallow.cache_stats().hits - hits_before,
+            static_cast<int64_t>(fx.Q.size()));
 }
 
 // ------------------------------------------------- concurrent sessions

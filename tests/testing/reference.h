@@ -2,10 +2,13 @@
 /// \brief Independent ground-truth oracles and graph fixtures for tests.
 ///
 /// RefFirstHitProb enumerates every walk explicitly (exponential in d;
-/// only for tiny graphs) — a genuinely independent check of both the
-/// forward and backward propagation engines. RefTwoWayJoin and
-/// RefNwayJoin are brute-force joins built on top of it / of the
-/// (separately validated) walkers.
+/// only for tiny graphs) — a genuinely independent check of the walk
+/// engines. RefBackwardScores and RefForwardScore are plain dense loops
+/// over the CSR rows, validated against that oracle and sharing no code
+/// with the engines; because they sum in the order DESIGN.md §3
+/// guarantees for every engine path, engine output must equal them BIT
+/// for bit. RefTwoWayJoin and RefNwayJoin are brute-force joins built
+/// on top of the dense backward loop.
 
 #ifndef DHTJOIN_TESTS_TESTING_REFERENCE_H_
 #define DHTJOIN_TESTS_TESTING_REFERENCE_H_
@@ -15,7 +18,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "dht/backward.h"
 #include "dht/params.h"
 #include "graph/graph.h"
 #include "graph/graph_builder.h"
@@ -60,21 +62,94 @@ inline double RefHd(const Graph& g, const DhtParams& params, int d, NodeId u,
   return score;
 }
 
-/// Brute-force 2-way join via the backward walker (validated separately
-/// against RefHd). Returns all valid pairs sorted, truncated to k.
+/// Dense reference backward walk (the paper's backWalk, Eq. 5):
+/// h_d(u, q) for EVERY node u, indexed by EXTERNAL id (entry q is the
+/// meaningless self score). Each step gathers every node's out-row in
+/// storage order — rows are sorted by canonical target, the summation
+/// order every engine path keeps (DESIGN.md §3) — and the score sum
+/// runs beta-exclusive, beta joining once at the end exactly as the
+/// engine adds it at output. O(d * (n + m)); no frontier, no lanes.
+inline std::vector<double> RefBackwardScores(const Graph& g,
+                                             const DhtParams& params, int d,
+                                             ExtNodeId q) {
+  const auto n = static_cast<std::size_t>(g.num_nodes());
+  std::vector<double> mass(n, 0.0), next(n, 0.0), delta(n, 0.0);
+  const auto target = static_cast<std::size_t>(g.ToInternal(q).value());
+  mass[target] = 1.0;
+  double lambda_pow = 1.0;
+  for (int i = 1; i <= d; ++i) {
+    for (std::size_t u = 0; u < n; ++u) {
+      double acc = 0.0;
+      for (const OutEdge& e : g.OutEdges(IntNodeId(static_cast<NodeId>(u)))) {
+        acc += e.prob * mass[static_cast<std::size_t>(e.to)];
+      }
+      next[u] = acc;
+    }
+    mass.swap(next);
+    lambda_pow *= params.lambda;
+    const double coeff = params.alpha * lambda_pow;
+    for (std::size_t u = 0; u < n; ++u) delta[u] += coeff * mass[u];
+    // First-hit semantics absorb at q; visiting semantics (PPR) do not.
+    if (params.first_hit) mass[target] = 0.0;
+  }
+  std::vector<double> scores(n);
+  for (std::size_t u = 0; u < n; ++u) {
+    const NodeId ext = g.ToExternal(IntNodeId(static_cast<NodeId>(u))).value();
+    scores[static_cast<std::size_t>(ext)] = delta[u] + params.beta;
+  }
+  return scores;
+}
+
+/// Dense reference forward walk (Sec V-B): h_d(u, v) from a walk pushed
+/// ALONG edges out of u and absorbed at v. Each step gathers every
+/// node's in-row in storage order (sorted by canonical source — the
+/// order in which the engine's push accumulates a destination). The
+/// score sum starts at beta and adds alpha * lambda^i * P_i step by
+/// step, the forward engine's own accumulation order. When `hit_probs`
+/// is set it receives P_i(u, v) for i = 1..d (visiting probabilities
+/// under PPR semantics).
+inline double RefForwardScore(const Graph& g, const DhtParams& params, int d,
+                              ExtNodeId u, ExtNodeId v,
+                              std::vector<double>* hit_probs = nullptr) {
+  const auto n = static_cast<std::size_t>(g.num_nodes());
+  std::vector<double> mass(n, 0.0), next(n, 0.0);
+  mass[static_cast<std::size_t>(g.ToInternal(u).value())] = 1.0;
+  const auto target = static_cast<std::size_t>(g.ToInternal(v).value());
+  if (hit_probs != nullptr) hit_probs->clear();
+  double score = params.beta;
+  double lambda_pow = 1.0;
+  for (int i = 1; i <= d; ++i) {
+    for (std::size_t w = 0; w < n; ++w) {
+      double acc = 0.0;
+      for (const InEdge& e : g.InEdges(IntNodeId(static_cast<NodeId>(w)))) {
+        acc += e.prob * mass[static_cast<std::size_t>(e.from)];
+      }
+      next[w] = acc;
+    }
+    mass.swap(next);
+    lambda_pow *= params.lambda;
+    const double coeff = params.alpha * lambda_pow;
+    if (hit_probs != nullptr) hit_probs->push_back(mass[target]);
+    score += coeff * mass[target];
+    if (params.first_hit) mass[target] = 0.0;
+  }
+  return score;
+}
+
+/// Brute-force 2-way join via the dense backward loop (validated
+/// separately against RefHd). Returns all valid pairs sorted, truncated
+/// to k.
 inline std::vector<ScoredPair> RefTwoWayJoin(const Graph& g,
                                              const DhtParams& params, int d,
                                              const NodeSet& P,
                                              const NodeSet& Q,
                                              std::size_t k) {
-  BackwardWalker walker(g);
   std::vector<ScoredPair> out;
   for (ExtNodeId q : Q) {
-    walker.Reset(params, q);
-    walker.Advance(d);
+    const std::vector<double> scores = RefBackwardScores(g, params, d, q);
     for (ExtNodeId p : P) {
       if (p == q) continue;
-      double s = walker.Score(p);
+      double s = scores[static_cast<std::size_t>(p.value())];
       if (s > params.beta) {
         out.push_back(ScoredPair{p.value(), q.value(), s});
       }
@@ -85,7 +160,7 @@ inline std::vector<ScoredPair> RefTwoWayJoin(const Graph& g,
   return out;
 }
 
-/// Brute-force n-way join: all pair scores via the backward walker, full
+/// Brute-force n-way join: all pair scores via the dense backward loop, full
 /// tuple enumeration, validity filtering, top-k by f. Independent of the
 /// PBRJ machinery.
 inline std::vector<TupleAnswer> RefNwayJoin(

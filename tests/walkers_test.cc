@@ -1,100 +1,128 @@
 /// \file tests/walkers_test.cc
-/// \brief Forward and backward first-hit walkers vs the path-enumeration
-/// oracle, plus the analytic invariants of h_d.
+/// \brief The forward and backward walk engines and the dense reference
+/// loops vs the path-enumeration oracle, plus the analytic invariants
+/// of h_d.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
-#include "dht/backward.h"
-#include "dht/forward.h"
+#include "dht/backward_batch.h"
+#include "dht/forward_batch.h"
 #include "testing/reference.h"
 
 namespace dhtjoin {
 namespace {
 
-using testing::CompleteGraph;
 using testing::CycleGraph;
 using testing::PathGraph;
 using testing::RandomGraph;
+using testing::RefBackwardScores;
 using testing::RefFirstHitProb;
+using testing::RefForwardScore;
 using testing::RefHd;
 using testing::StarGraph;
 using testing::TwoCommunityGraph;
 
+/// h_d(u, v) from the forward engine (one single-lane walk).
+double EngineForward(const Graph& g, const DhtParams& p, int d, NodeId u,
+                     NodeId v) {
+  ForwardWalkerBatch batch(g, {.num_threads = 1});
+  const ExtNodeId source(u);
+  const ExtNodeId target(v);
+  return batch.Run(p, d, {&source, 1}, {&target, 1})[0];
+}
+
+/// h_d(u, q) for every node u (external order) from the backward engine.
+std::vector<double> EngineBackward(const Graph& g, const DhtParams& p, int d,
+                                   NodeId q) {
+  BackwardWalkerBatch batch(g, {.num_threads = 1});
+  std::vector<ExtNodeId> all;
+  for (NodeId u = 0; u < g.num_nodes(); ++u) all.emplace_back(u);
+  const ExtNodeId target(q);
+  return batch.Run(p, d, {&target, 1}, all);
+}
+
+std::vector<double> HitProbs(const Graph& g, const DhtParams& p, int d,
+                             NodeId u, NodeId v) {
+  std::vector<double> hits;
+  RefForwardScore(g, p, d, ExtNodeId(u), ExtNodeId(v), &hits);
+  return hits;
+}
+
 // --------------------------------------------------- analytic examples
 
-TEST(ForwardWalkerTest, PathGraphExactValues) {
+TEST(ForwardWalkTest, PathGraphExactValues) {
   // On 0->1->2, P_i(0,2) = 1 exactly at i = 2; h_d = a*l^2 + b for d >= 2.
   Graph g = PathGraph(3);
   DhtParams p = DhtParams::Lambda(0.2);
-  ForwardWalker w(g);
-  EXPECT_DOUBLE_EQ(w.Compute(p, 1, ExtNodeId(0), ExtNodeId(2)), p.beta);
+  EXPECT_DOUBLE_EQ(EngineForward(g, p, 1, 0, 2), p.beta);
   double expect = p.alpha * p.lambda * p.lambda + p.beta;
-  EXPECT_DOUBLE_EQ(w.Compute(p, 2, ExtNodeId(0), ExtNodeId(2)), expect);
+  EXPECT_DOUBLE_EQ(EngineForward(g, p, 2, 0, 2), expect);
   // No longer paths exist past depth 2.
-  EXPECT_DOUBLE_EQ(w.Compute(p, 8, ExtNodeId(0), ExtNodeId(2)), expect);
+  EXPECT_DOUBLE_EQ(EngineForward(g, p, 8, 0, 2), expect);
 }
 
-TEST(ForwardWalkerTest, CycleFirstReturnIsExactlyN) {
+TEST(ForwardWalkTest, CycleFirstReturnIsExactlyN) {
   // On a directed n-cycle the walk returns to its start at step n with
   // probability 1 and never earlier; first-hit at the predecessor takes
   // n-1 steps.
   Graph g = CycleGraph(5);
-  ForwardWalker w(g);
-  DhtParams p = DhtParams::Lambda(0.5);
-  w.Reset(p, ExtNodeId(0), ExtNodeId(4));
-  w.Advance(8);
+  std::vector<double> hits = HitProbs(g, DhtParams::Lambda(0.5), 8, 0, 4);
   for (int i = 1; i <= 8; ++i) {
-    EXPECT_DOUBLE_EQ(w.HitProbability(i), i == 4 ? 1.0 : 0.0);
+    EXPECT_DOUBLE_EQ(hits[static_cast<std::size_t>(i) - 1],
+                     i == 4 ? 1.0 : 0.0);
   }
 }
 
-TEST(ForwardWalkerTest, StarHubOscillation) {
+TEST(ForwardWalkTest, StarHubOscillation) {
   // From leaf 1 of a star: step 1 reaches hub w.p. 1. First-hit on leaf
   // 2 happens at even steps: P_2 = 1/(n-1), P_4 = (n-2)/(n-1) * 1/(n-1).
   Graph g = StarGraph(4);  // hub 0, leaves 1..3
-  ForwardWalker w(g);
-  DhtParams p = DhtParams::Exponential();
-  w.Reset(p, ExtNodeId(1), ExtNodeId(2));
-  w.Advance(4);
-  EXPECT_DOUBLE_EQ(w.HitProbability(1), 0.0);
-  EXPECT_NEAR(w.HitProbability(2), 1.0 / 3.0, 1e-12);
-  EXPECT_DOUBLE_EQ(w.HitProbability(3), 0.0);
-  EXPECT_NEAR(w.HitProbability(4), (2.0 / 3.0) * (1.0 / 3.0), 1e-12);
+  std::vector<double> hits = HitProbs(g, DhtParams::Exponential(), 4, 1, 2);
+  EXPECT_DOUBLE_EQ(hits[0], 0.0);
+  EXPECT_NEAR(hits[1], 1.0 / 3.0, 1e-12);
+  EXPECT_DOUBLE_EQ(hits[2], 0.0);
+  EXPECT_NEAR(hits[3], (2.0 / 3.0) * (1.0 / 3.0), 1e-12);
 }
 
 // ------------------------------------------------ oracle cross-checks
 
-TEST(ForwardWalkerTest, MatchesPathEnumerationOracle) {
+TEST(ForwardWalkTest, MatchesPathEnumerationOracle) {
   Graph g = TwoCommunityGraph();
-  ForwardWalker w(g);
+  const DhtParams p = DhtParams::Lambda(0.2);
   const int d = 6;
   for (NodeId u : {0, 3, 7}) {
     for (NodeId v : {2, 5, 9}) {
       if (u == v) continue;
-      w.Reset(DhtParams::Lambda(0.2), ExtNodeId(u), ExtNodeId(v));
-      w.Advance(d);
+      std::vector<double> hits = HitProbs(g, p, d, u, v);
       for (int i = 1; i <= d; ++i) {
-        EXPECT_NEAR(w.HitProbability(i), RefFirstHitProb(g, u, v, i), 1e-10)
+        EXPECT_NEAR(hits[static_cast<std::size_t>(i) - 1],
+                    RefFirstHitProb(g, u, v, i), 1e-10)
             << "u=" << u << " v=" << v << " i=" << i;
       }
+      // The engine sums in the dense reference's order: bit-identical.
+      EXPECT_EQ(EngineForward(g, p, d, u, v),
+                RefForwardScore(g, p, d, ExtNodeId(u), ExtNodeId(v)))
+          << "u=" << u << " v=" << v;
     }
   }
 }
 
-TEST(BackwardWalkerTest, MatchesPathEnumerationOracle) {
+TEST(BackwardWalkTest, MatchesPathEnumerationOracle) {
   Graph g = TwoCommunityGraph();
-  BackwardWalker w(g);
   const int d = 6;
   DhtParams p = DhtParams::Lambda(0.3);
   for (NodeId v : {2, 5, 9}) {
-    w.Reset(p, ExtNodeId(v));
-    w.Advance(d);
+    std::vector<double> engine = EngineBackward(g, p, d, v);
+    std::vector<double> dense = RefBackwardScores(g, p, d, ExtNodeId(v));
     for (NodeId u = 0; u < g.num_nodes(); ++u) {
       if (u == v) continue;
-      EXPECT_NEAR(w.Score(ExtNodeId(u)), RefHd(g, p, d, u, v), 1e-10)
+      const auto ui = static_cast<std::size_t>(u);
+      EXPECT_NEAR(dense[ui], RefHd(g, p, d, u, v), 1e-10)
           << "u=" << u << " v=" << v;
+      EXPECT_EQ(engine[ui], dense[ui]) << "u=" << u << " v=" << v;
     }
   }
 }
@@ -113,15 +141,14 @@ TEST_P(WalkerAgreement, ForwardEqualsBackward) {
   DhtParams p = c.lambda > 0 ? DhtParams::Lambda(c.lambda)
                              : DhtParams::Exponential();
   const int d = 8;
-  ForwardWalker fw(g);
-  BackwardWalker bw(g);
   for (NodeId v : {0, 7, 19}) {
-    bw.Reset(p, ExtNodeId(v));
-    bw.Advance(d);
+    std::vector<double> backward = EngineBackward(g, p, d, v);
+    EXPECT_EQ(backward, RefBackwardScores(g, p, d, ExtNodeId(v)));
     for (NodeId u : {1, 3, 11, 25}) {
       if (u == v) continue;
-      EXPECT_NEAR(fw.Compute(p, d, ExtNodeId(u), ExtNodeId(v)),
-                  bw.Score(ExtNodeId(u)), 1e-10)
+      const double forward = EngineForward(g, p, d, u, v);
+      EXPECT_EQ(forward, RefForwardScore(g, p, d, ExtNodeId(u), ExtNodeId(v)));
+      EXPECT_NEAR(forward, backward[static_cast<std::size_t>(u)], 1e-10)
           << "u=" << u << " v=" << v;
     }
   }
@@ -141,12 +168,9 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(WalkerInvariants, ScoreMonotoneInD) {
   Graph g = RandomGraph(25, 60, 21);
   DhtParams p = DhtParams::Lambda(0.4);
-  BackwardWalker w(g);
-  w.Reset(p, ExtNodeId(5));
   double prev = -1e100;
-  for (int step = 0; step < 10; ++step) {
-    w.Advance(1);
-    double s = w.Score(ExtNodeId(17));
+  for (int d = 1; d <= 10; ++d) {
+    double s = EngineBackward(g, p, d, 5)[17];
     EXPECT_GE(s, prev - 1e-15);
     prev = s;
   }
@@ -156,13 +180,11 @@ TEST(WalkerInvariants, ScoresWithinFloorAndCeiling) {
   Graph g = RandomGraph(25, 60, 22, true, true);
   for (double lambda : {0.2, 0.8}) {
     DhtParams p = DhtParams::Lambda(lambda);
-    BackwardWalker w(g);
-    w.Reset(p, ExtNodeId(3));
-    w.Advance(10);
+    std::vector<double> scores = EngineBackward(g, p, 10, 3);
     for (NodeId u = 0; u < g.num_nodes(); ++u) {
       if (u == 3) continue;
-      EXPECT_GE(w.Score(ExtNodeId(u)), p.FloorScore());
-      EXPECT_LE(w.Score(ExtNodeId(u)), p.MaxScore() + 1e-12);
+      EXPECT_GE(scores[static_cast<std::size_t>(u)], p.FloorScore());
+      EXPECT_LE(scores[static_cast<std::size_t>(u)], p.MaxScore() + 1e-12);
     }
   }
 }
@@ -170,12 +192,10 @@ TEST(WalkerInvariants, ScoresWithinFloorAndCeiling) {
 TEST(WalkerInvariants, FirstHitProbsFormSubDistribution) {
   // Sum over i of P_i(u, v) <= 1 (the walk may never hit v).
   Graph g = TwoCommunityGraph();
-  ForwardWalker w(g);
-  w.Reset(DhtParams::Lambda(0.2), ExtNodeId(0), ExtNodeId(9));
   const int steps = 300;  // two sparse bridges: mixing is slow
-  w.Advance(steps);
+  std::vector<double> hits = HitProbs(g, DhtParams::Lambda(0.2), steps, 0, 9);
   double total = 0.0;
-  for (int i = 1; i <= steps; ++i) total += w.HitProbability(i);
+  for (double h : hits) total += h;
   EXPECT_LE(total, 1.0 + 1e-9);
   EXPECT_GT(total, 0.9);  // connected graph: the walk almost surely hits
 }
@@ -186,19 +206,18 @@ TEST(WalkerInvariants, DhtLambdaRecurrenceHolds) {
   Graph g = TwoCommunityGraph();
   DhtParams p = DhtParams::Lambda(0.3);
   int d = p.StepsForEpsilon(1e-10);
-  BackwardWalker w(g);
   const NodeId v = 6;
-  w.Reset(p, ExtNodeId(v));
-  w.Advance(d);
+  std::vector<double> scores = EngineBackward(g, p, d, v);
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
     if (u == v) continue;
     double rhs = -1.0;
     for (const OutEdge& e : g.OutEdges(IntNodeId(u))) {
       // DHT(v, v) = 0; fresh fixture, so internal == external ids.
-      double hw = e.to == v ? 0.0 : w.Score(ExtNodeId(e.to));
+      double hw = e.to == v ? 0.0 : scores[static_cast<std::size_t>(e.to)];
       rhs += p.lambda * e.prob * hw;
     }
-    EXPECT_NEAR(w.Score(ExtNodeId(u)), rhs, 1e-8) << "u=" << u;
+    EXPECT_NEAR(scores[static_cast<std::size_t>(u)], rhs, 1e-8)
+        << "u=" << u;
   }
 }
 
@@ -206,51 +225,51 @@ TEST(WalkerInvariants, SinkNodeNeverReachesAnything) {
   // Node 2 of the path graph has no out-edges.
   Graph g = PathGraph(3);
   DhtParams p = DhtParams::Lambda(0.2);
-  ForwardWalker w(g);
-  EXPECT_DOUBLE_EQ(w.Compute(p, 8, ExtNodeId(2), ExtNodeId(0)), p.beta);
+  EXPECT_DOUBLE_EQ(EngineForward(g, p, 8, 2, 0), p.beta);
 }
 
 TEST(WalkerInvariants, AbsorptionStopsMassAtTarget) {
-  // 0 -> 1 -> 2 -> 3; absorbing at 1 means 2 and 3 are never visited, so
-  // first-hit of 3 from 0 when absorbed at... instead check: forward to
-  // target 1 must put zero hit probability at steps > 1.
+  // 0 -> 1 -> 2 -> 3, absorbed at 1: the walk hits 1 at step 1 with
+  // probability 1 and the absorbed mass never re-emits.
   Graph g = PathGraph(4);
-  ForwardWalker w(g);
-  w.Reset(DhtParams::Lambda(0.5), ExtNodeId(0), ExtNodeId(1));
-  w.Advance(5);
-  EXPECT_DOUBLE_EQ(w.HitProbability(1), 1.0);
+  std::vector<double> hits = HitProbs(g, DhtParams::Lambda(0.5), 5, 0, 1);
+  EXPECT_DOUBLE_EQ(hits[0], 1.0);
   for (int i = 2; i <= 5; ++i) {
-    EXPECT_DOUBLE_EQ(w.HitProbability(i), 0.0);
+    EXPECT_DOUBLE_EQ(hits[static_cast<std::size_t>(i) - 1], 0.0);
   }
 }
 
 TEST(WalkerInvariants, ResumableAdvanceMatchesOneShot) {
   Graph g = RandomGraph(25, 70, 23);
   DhtParams p = DhtParams::Lambda(0.5);
-  BackwardWalker a(g), b(g);
-  a.Reset(p, ExtNodeId(4));
-  a.Advance(8);
-  b.Reset(p, ExtNodeId(4));
-  b.Advance(3);
-  b.Advance(5);  // resumed
-  for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    EXPECT_DOUBLE_EQ(a.Score(ExtNodeId(u)), b.Score(ExtNodeId(u)));
-  }
-  EXPECT_EQ(b.level(), 8);
+  std::vector<ExtNodeId> all;
+  for (NodeId u = 0; u < g.num_nodes(); ++u) all.emplace_back(u);
+  const ExtNodeId target(4);
+  const std::size_t slot = 0;
+  BackwardWalkerBatch batch(g, {.num_threads = 1});
+  BackwardBatchStates states(1);
+  std::vector<double> resumed;
+  auto keep = [&](std::size_t, const double* row) {
+    resumed.assign(row, row + all.size());
+  };
+  EXPECT_EQ(batch.AdvanceChunked(p, 3, {&target, 1}, {&slot, 1}, all, states,
+                                 keep),
+            1);
+  EXPECT_EQ(batch.AdvanceChunked(p, 8, {&target, 1}, {&slot, 1}, all, states,
+                                 keep),
+            0);  // resumed
+  EXPECT_EQ(states.level(slot), 8);
+  EXPECT_EQ(resumed, EngineBackward(g, p, 8, 4));
 }
 
 TEST(WalkerInvariants, ResetReusesWorkspaceCleanly) {
   Graph g = TwoCommunityGraph();
   DhtParams p = DhtParams::Lambda(0.2);
-  BackwardWalker w(g);
-  w.Reset(p, ExtNodeId(0));
-  w.Advance(8);
-  double first = w.Score(ExtNodeId(9));
-  w.Reset(p, ExtNodeId(5));  // different target
-  w.Advance(8);
-  w.Reset(p, ExtNodeId(0));  // back to the first target
-  w.Advance(8);
-  EXPECT_DOUBLE_EQ(w.Score(ExtNodeId(9)), first);
+  BackwardWalkerBatch batch(g, {.num_threads = 1});
+  const ExtNodeId first(0), second(5), source(9);
+  const double before = batch.Run(p, 8, {&first, 1}, {&source, 1})[0];
+  batch.Run(p, 8, {&second, 1}, {&source, 1});  // different target
+  EXPECT_EQ(batch.Run(p, 8, {&first, 1}, {&source, 1})[0], before);
 }
 
 TEST(WalkerInvariants, WeightsChangeScores) {
@@ -263,9 +282,7 @@ TEST(WalkerInvariants, WeightsChangeScores) {
   Graph even = std::move(b1.Build()).value();
   Graph skew = std::move(b2.Build()).value();
   DhtParams p = DhtParams::Lambda(0.2);
-  ForwardWalker we(even), ws(skew);
-  EXPECT_LT(we.Compute(p, 4, ExtNodeId(0), ExtNodeId(1)),
-            ws.Compute(p, 4, ExtNodeId(0), ExtNodeId(1)));
+  EXPECT_LT(EngineForward(even, p, 4, 0, 1), EngineForward(skew, p, 4, 0, 1));
 }
 
 }  // namespace
