@@ -17,9 +17,11 @@
 /// lives at bench/baselines/BENCH_walkers.json). Every engine score is
 /// checked against the dense reference to 1e-12 as part of the run (the
 /// engine sums in the reference's order, so the observed difference is
-/// 0), and the resumable deepening paths of B-IDJ / F-IDJ are checked
-/// byte-identical to their restart schedules with strictly fewer
-/// walk_steps — a fast-but-wrong engine fails loudly here.
+/// 0), the Y-bound table is checked against RefYBound exactly at
+/// lambda = 0.2 (d = 8) and 0.8 (d = 76), and the resumable deepening
+/// paths of B-IDJ / F-IDJ are checked byte-identical to their restart
+/// schedules with strictly fewer walk_steps — a fast-but-wrong engine
+/// fails loudly here.
 
 #include <algorithm>
 #include <cmath>
@@ -39,6 +41,7 @@ using namespace dhtjoin;         // NOLINT
 using namespace dhtjoin::bench;  // NOLINT
 using dhtjoin::testing::RefBackwardScores;
 using dhtjoin::testing::RefForwardScore;
+using dhtjoin::testing::RefYBound;
 
 namespace {
 
@@ -305,16 +308,49 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Y-bound sweep regression canary (B-IDJ-Y and the incremental join
-  // still pay this d-step sweep up front).
+  // Y-bound sweep (B-IDJ-Y and PJ-i pay this d-step sweep up front):
+  // the table at the paper's default lambda = 0.2 (d = 8) and at Fig.
+  // 10's lambda = 0.8 end (d = 76, where the sweep saturates and runs
+  // mostly dense), each checked against the dense reference loop
+  // RefYBound — exact agreement, like every other gate here.
   NodeSet yp = ds.areas[0].TopByDegree(g, 100);
   NodeSet yq = ds.areas[1].TopByDegree(g, 100);
-  double ybound_sec = TimeIt(3, [&] {
-    YBoundTable table(g, p, 8, yp, yq);
-    if (table.Bound(0, 0) < 0.0) std::abort();  // keep the table alive
-  });
-  std::printf("\nY-bound table construction (d=8, |P|=|Q|=100): %.3f ms\n",
-              ybound_sec * 1e3);
+  struct YArm {
+    double lambda;
+    double table_sec = 0.0;
+    double reference_sec = 0.0;
+    double max_abs_diff = 0.0;
+  };
+  YArm yarms[] = {{0.2}, {0.8}};
+  std::printf("\nY-bound table construction (|P|=|Q|=100):\n");
+  for (YArm& arm : yarms) {
+    const DhtParams yparams = DhtParams::Lambda(arm.lambda);
+    const int yd = yparams.StepsForEpsilon(1e-6);
+    std::vector<std::vector<double>> rows;
+    arm.table_sec = TimeIt(3, [&] {
+      rows = YBoundTable(g, yparams, yd, yp, yq).suffix_rows();
+    });
+    std::vector<std::vector<double>> want;
+    arm.reference_sec =
+        TimeIt(1, [&] { want = RefYBound(g, yparams, yd, yp, yq); });
+    for (std::size_t qi = 0; qi < want.size(); ++qi) {
+      for (std::size_t l = 0; l < want[qi].size(); ++l) {
+        arm.max_abs_diff =
+            std::max(arm.max_abs_diff, std::abs(rows[qi][l] - want[qi][l]));
+      }
+    }
+    std::printf("  lambda=%.1f d=%d: table %.3f ms, reference %.3f ms, "
+                "max|diff| %.2e\n",
+                arm.lambda, yd, arm.table_sec * 1e3, arm.reference_sec * 1e3,
+                arm.max_abs_diff);
+    if (arm.max_abs_diff != 0.0) {
+      std::fprintf(stderr,
+                   "FAIL: Y-bound table disagrees with the reference at "
+                   "lambda=%.1f (%.3e)\n",
+                   arm.lambda, arm.max_abs_diff);
+      return 1;
+    }
+  }
 
   JsonObject doc;
   doc.Set("bench", std::string("micro_walkers"))
@@ -336,7 +372,12 @@ int main(int argc, char** argv) {
       .Set("bidj_restart_walk_steps", bidj_restart_steps)
       .Set("fidj_resume_walk_steps", fidj_resume_steps)
       .Set("fidj_restart_walk_steps", fidj_restart_steps)
-      .Set("ybound_table_ms", ybound_sec * 1e3)
+      .Set("ybound_table_ms", yarms[0].table_sec * 1e3)
+      .Set("ybound_reference_ms", yarms[0].reference_sec * 1e3)
+      .Set("ybound_table_ms_l08", yarms[1].table_sec * 1e3)
+      .Set("ybound_reference_ms_l08", yarms[1].reference_sec * 1e3)
+      .Set("ybound_max_abs_diff",
+           std::max(yarms[0].max_abs_diff, yarms[1].max_abs_diff))
       .Set("headline_sparse_batched_speedup_d8", headline_speedup)
       .Set("headline_max_abs_score_diff_d8", headline_diff);
   const std::string json_name =

@@ -25,7 +25,8 @@ Result<std::vector<TupleAnswer>> PartialJoin::Run(
       auto join = IncrementalTwoWayJoin::Create(
           g, params, d, P, Q, options_.m,
           IncrementalTwoWayJoin::Options{.bound = options_.bound,
-                                         .state_cache = options_.state_cache});
+                                         .state_cache = options_.state_cache,
+                                         .exec = options_.exec});
       if (!join.ok()) return join.status();
       streams.push_back(std::make_unique<IncrementalPairStream>(
           std::move(join).value()));

@@ -19,6 +19,7 @@
 
 #include "core/nway_join.h"
 #include "join2/two_way_join.h"
+#include "util/deadline.h"
 
 namespace dhtjoin {
 
@@ -40,6 +41,10 @@ class PartialJoin final : public NwayJoin {
     /// Cross-query walk-state cache for the incremental streams (the
     /// serving cache; see dht/backward_batch.h). PJ-i only.
     BackwardStateCache* state_cache = nullptr;
+    /// Used for TRACING only, forwarded to each PJ-i stream
+    /// (IncrementalTwoWayJoin::Options::exec). PJ-i only: the
+    /// non-incremental path ignores it.
+    const ExecContext* exec = nullptr;
   };
 
   struct Stats {

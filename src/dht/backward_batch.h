@@ -26,7 +26,7 @@
 /// lane.
 ///
 /// Steps are frontier-adaptive (dht/batch_core.h), and the union
-/// support of a block is kept SORTED at every step boundary, so the
+/// support of a block is sorted canonically before every push, so the
 /// per-lane summation order is identical to the dense gather's CSR
 /// order — scores are bit-identical across modes, lane groupings,
 /// thread counts, and restarted vs resumed walks (DESIGN.md §3).
@@ -62,7 +62,7 @@
 ///
 /// Node ids crossing the public interface (targets, sources) are
 /// EXTERNAL ids; the engine translates to the graph's physical layout
-/// (graph/reorder.h) at entry, keeps its union support sorted in
+/// (graph/reorder.h) at entry, pushes its union support in
 /// CANONICAL (external) order, and restricts dense gathers to the
 /// walk's weak components (Graph::PlanDenseSweep) — so scores are
 /// bit-identical across layouts AND the dense fallback of a saturated-
@@ -656,7 +656,7 @@ class BackwardWalkerBatchT {
       lane_target[b] = lane_targets[static_cast<std::size_t>(b)];
     }
     batch_core::LoadLaneMass<W>(
-        g_, st, from_level, lane_target, width,
+        st, from_level, lane_target, width,
         [&](int b) -> const std::vector<std::pair<NodeId, double>>& {
           return states.slots_[lane_slots[static_cast<std::size_t>(b)]].mass;
         });

@@ -12,14 +12,12 @@
 /// write-back-under-budget slot commit. They are parameterized by:
 ///
 ///  * a DIRECTION POLICY (BackwardStepPolicy / ForwardStepPolicy) that
-///    supplies the frontier degree, the push rows, and — the one
-///    genuinely different piece — the dense kernel: the backward step
-///    falls back to a sequential gather over the sweep plan's out-rows,
-///    while the forward "dense" step is the same frontier push with
-///    dense billing, because a forward push already visits exactly the
-///    nonzero rows in canonical order;
-///  * a LANE WIDTH W — 8 (one cache line of doubles), the only width
-///    the library instantiates.
+///    supplies the push rows (transposed in-rows backward, out-rows
+///    forward) and the gather rows of the dense kernel (out-rows
+///    backward, in-rows forward): dense is a sequential gather over the
+///    sweep plan's rows in BOTH directions;
+///  * a LANE WIDTH W — 8 (one cache line of doubles) for the walk
+///    engines, 1 for the Y-bound sweep (dht/bounds.cc).
 ///
 /// FRONTIER-ADAPTIVE STEPS. Each step tracks the block's union support
 /// (nodes with nonzero mass in any lane) and chooses, direction-
@@ -31,14 +29,16 @@
 /// contribute exactly 0.0 and skipping them changes no bit.
 ///
 /// NUMERICAL CONTRACT (DESIGN.md §3, §7): the union support is sorted
-/// by CANONICAL (external) id before any step that consumes its order,
-/// and CSR rows are stored in canonical order, so a sparse push visits
-/// sources in exactly the order the dense gather's rows accumulate
-/// them — in every physical layout. Per-lane summation order is
-/// therefore identical across modes, restricted and full sweeps, lane
-/// groupings, thread counts, resumed vs from-scratch walks, and graph
-/// reorderings; the plain dense loops in tests/testing/reference.h sum
-/// in that same order and match every engine bit for bit.
+/// by CANONICAL (external) id before any step that consumes its order
+/// (a push; the gather consumes none, so the sort is deferred until a
+/// push), and CSR rows (out and in) are stored in canonical order, so a
+/// sparse push visits sources in exactly the order the dense gather's
+/// rows accumulate them — in every physical layout and both
+/// directions. Per-lane summation order is therefore identical across
+/// modes, restricted and full sweeps, lane groupings, thread counts,
+/// resumed vs from-scratch walks, and graph reorderings; the plain
+/// dense loops in tests/testing/reference.h sum in that same order and
+/// match every engine bit for bit.
 ///
 /// The fused multi-target scheduler built on top (AdvanceMany in each
 /// engine) collects every live (plan, lane-block, level-group) of a
@@ -358,44 +358,46 @@ class BatchStateBudget {
 
 // ------------------------------------------------- direction policies
 
+/// The endpoint of a stored arc that is not the row's own node: an
+/// out-row's target, an in-row's source.
+inline NodeId OtherEnd(const OutEdge& e) { return e.to; }
+inline NodeId OtherEnd(const InEdge& e) { return e.from; }
+
 /// Backward direction: mass flows AGAINST edges. The sparse step pushes
-/// the union frontier over transposed in-rows; the dense step is a
-/// sequential gather over the sweep plan's out-rows.
+/// the union frontier over transposed in-rows; the dense step gathers
+/// each plan row over its out-row.
 struct BackwardStepPolicy {
-  static constexpr bool kDenseIsGather = true;
-  static int64_t FrontierDegree(const Graph& g, NodeId v) {
-    return g.InDegree(IntNodeId(v));
-  }
   static std::span<const InEdge> PushEdges(const Graph& g, NodeId v) {
     return g.InEdges(IntNodeId(v));
   }
-  static NodeId EdgeDest(const InEdge& e) { return e.from; }
+  static std::span<const OutEdge> GatherEdges(const Graph& g, NodeId u) {
+    return g.OutEdges(IntNodeId(u));
+  }
 };
 
-/// Forward direction: mass flows ALONG edges. Sparse and dense are the
-/// same push over out-rows; "dense" only changes the billing (the push
-/// already visits exactly the nonzero rows in canonical order — the
-/// dense sweep's order).
+/// Forward direction: mass flows ALONG edges. The sparse step pushes
+/// the union frontier over out-rows; the dense step gathers each plan
+/// row over its in-row.
 struct ForwardStepPolicy {
-  static constexpr bool kDenseIsGather = false;
-  static int64_t FrontierDegree(const Graph& g, NodeId v) {
-    return g.OutDegree(IntNodeId(v));
-  }
   static std::span<const OutEdge> PushEdges(const Graph& g, NodeId v) {
     return g.OutEdges(IntNodeId(v));
   }
-  static NodeId EdgeDest(const OutEdge& e) { return e.to; }
+  static std::span<const InEdge> GatherEdges(const Graph& g, NodeId u) {
+    return g.InEdges(IntNodeId(u));
+  }
 };
 
 /// One blocked transition step shared by every batched path: advances
-/// all lanes of `st` one level, choosing sparse push or dense kernel by
+/// all lanes of `st` one level, choosing sparse push or dense gather by
 /// the shared adaptive policy (against the block's restricted dense
 /// cost), and leaves the new support in st.support with st.mass holding
-/// the new masses. The sorted-support contract is deferred: only a
-/// step that CONSUMES the support order (a push) sorts first; the
-/// backward dense gather never does, so a saturated dense walk skips
-/// the per-step sort entirely — the deferral is what keeps reordered
-/// layouts from paying an O(s log s) indirect sort per dense step.
+/// the new masses. A push's frontier degree is its push row's length
+/// (in-degree backward, out-degree forward). The sorted-support
+/// contract is deferred in both directions: only a push CONSUMES the
+/// support order, so only a push sorts first; the dense gather never
+/// does, so a saturated dense walk skips the per-step sort entirely —
+/// the deferral is what keeps reordered layouts and restricted plans
+/// from paying a sort per dense step.
 template <class Policy, int W>
 void StepLanes(const Graph& g, PropagationMode mode, BlockWorkspace<W>& st,
                int width) {
@@ -410,15 +412,15 @@ void StepLanes(const Graph& g, PropagationMode mode, BlockWorkspace<W>& st,
       // push, so the estimate only transiently overshoots.
       int64_t frontier_edges = 0;
       for (NodeId v : st.support) {
-        frontier_edges += Policy::FrontierDegree(g, v);
+        frontier_edges +=
+            static_cast<int64_t>(Policy::PushEdges(g, v).size());
       }
       dense = FrontierPrefersDense(st.support.size(), frontier_edges,
                                    st.plan.cost);
     }
   }
 
-  const bool push = !Policy::kDenseIsGather || !dense;
-  if (push) {
+  if (!dense) {
     // Sparse: push the block's union frontier over the policy's rows.
     // The push CONSUMES the support order (destinations accumulate in
     // frontier order), so bring it into canonical order first — the
@@ -439,9 +441,10 @@ void StepLanes(const Graph& g, PropagationMode mode, BlockWorkspace<W>& st,
       if (live_lanes == 0) continue;
       // Bill each lane only for its own frontier: lane b's walk alone
       // would relax deg(v) edges iff it has mass at v.
-      relaxed += Policy::FrontierDegree(g, v) * live_lanes;
-      for (const auto& e : Policy::PushEdges(g, v)) {
-        const NodeId u = Policy::EdgeDest(e);
+      const auto edges = Policy::PushEdges(g, v);
+      relaxed += static_cast<int64_t>(edges.size()) * live_lanes;
+      for (const auto& e : edges) {
+        const NodeId u = OtherEnd(e);
         double* dst = &st.next[static_cast<std::size_t>(u) * W];
         uint8_t& flag = st.in_next[static_cast<std::size_t>(u)];
         if (!flag) {
@@ -452,19 +455,21 @@ void StepLanes(const Graph& g, PropagationMode mode, BlockWorkspace<W>& st,
       }
       std::fill(row, row + W, 0.0);
     }
-    st.edges_relaxed +=
-        (dense && !Policy::kDenseIsGather) ? st.plan.edges * width : relaxed;
+    st.edges_relaxed += relaxed;
   } else {
-    // Dense backward: sequential gather over the block plan's out-rows.
-    // Rows outside the plan (other weak components) cannot see the
-    // support, so skipping them is exact — the restricted sweep
-    // (DESIGN.md §7). Each row's sum runs in storage (canonical) order;
-    // rows are independent, so the row iteration order never affects
-    // values.
+    // Dense: sequential gather of every plan row over the policy's
+    // gather row (out-row backward, in-row forward). Rows outside the
+    // plan (other weak components) cannot see the support, so skipping
+    // them is exact — the restricted sweep (DESIGN.md §7). Gather rows
+    // are stored in canonical order of their other endpoint, so each
+    // row's sum receives its addends in the order a canonical push
+    // would deliver them; rows are independent, so the row iteration
+    // order never affects values.
     st.plan.ForEachRow(g.num_nodes(), [&](NodeId u) {
       double acc[W] = {0.0};
-      for (const OutEdge& e : g.OutEdges(IntNodeId(u))) {
-        const double* src = &st.mass[static_cast<std::size_t>(e.to) * W];
+      for (const auto& e : Policy::GatherEdges(g, u)) {
+        const double* src =
+            &st.mass[static_cast<std::size_t>(OtherEnd(e)) * W];
         for (int b = 0; b < W; ++b) acc[b] += e.prob * src[b];
       }
       if (std::any_of(acc, acc + W, [](double x) { return x != 0.0; })) {
@@ -483,11 +488,10 @@ void StepLanes(const Graph& g, PropagationMode mode, BlockWorkspace<W>& st,
     st.in_next[static_cast<std::size_t>(u)] = 0;
   }
   // Sorted-support contract (file comment), deferred: a push leaves the
-  // new support in emission order; the backward dense gather emits rows
+  // new support in emission order; the dense gather emits rows
   // ascending by internal id — already canonical exactly on an
   // insertion-ordered layout with a gap-free plan.
-  st.support_canonical = Policy::kDenseIsGather && dense &&
-                         !g.is_reordered() && st.plan.full;
+  st.support_canonical = dense && !g.is_reordered() && st.plan.full;
   st.mass.swap(st.next);
   st.support.swap(st.next_support);
   st.next_support.clear();
@@ -497,10 +501,10 @@ void StepLanes(const Graph& g, PropagationMode mode, BlockWorkspace<W>& st,
 /// fresh lanes (from_level == 0) get unit mass at their seed node
 /// (the target for backward walks, the source for forward walks);
 /// resumed lanes replay the sparse snapshot `saved_mass(b)` returns.
-/// Leaves the union support deduplicated and canonically sorted — the
-/// summation order the sorted-support contract requires from step one.
+/// Leaves the union support deduplicated but unsorted: the first step
+/// sorts it only if that step pushes (the deferred sort of StepLanes).
 template <int W, typename SavedMass>
-void LoadLaneMass(const Graph& g, BlockWorkspace<W>& st, int from_level,
+void LoadLaneMass(BlockWorkspace<W>& st, int from_level,
                   const NodeId* seeds, int width, SavedMass&& saved_mass) {
   for (int b = 0; b < width; ++b) {
     if (from_level == 0) {
@@ -525,14 +529,11 @@ void LoadLaneMass(const Graph& g, BlockWorkspace<W>& st, int from_level,
     }
   }
   for (NodeId v : st.support) st.in_next[static_cast<std::size_t>(v)] = 0;
-  g.SortCanonical(st.support);
-  st.support.erase(std::unique(st.support.begin(), st.support.end()),
-                   st.support.end());
-  st.support_canonical = true;
+  st.support_canonical = false;
 }
 
-/// Extracts lane b's nonzero masses (support order — canonical at a
-/// step boundary) into a snapshot's sparse mass list.
+/// Extracts lane b's nonzero masses, in support order, into a
+/// snapshot's sparse mass list (LoadLaneMass accepts any order).
 template <int W>
 void CollectLaneMass(const BlockWorkspace<W>& st, int b,
                      std::vector<std::pair<NodeId, double>>& out) {

@@ -34,10 +34,12 @@ double XUpperBound(const DhtParams& params, int l);
 /// Precomputed Y_l^+(P, q) for all q in Q and all l in [0, d].
 class YBoundTable {
  public:
-  /// Runs the d-step non-absorbing sweep from all of P with the shared
-  /// frontier-adaptive policy (dht/batch_core.h) — O(d * |E|) worst case,
-  /// output-sensitive when the sweep mass stays local — and builds
-  /// per-q suffix sums (O(d * |Q|) space).
+  /// Runs the d-step non-absorbing sweep from all of P on the batch
+  /// core at one lane (StepLanes<ForwardStepPolicy, 1>, dht/batch_core.h):
+  /// frontier pushes or dense in-row gathers by the shared adaptive
+  /// policy — O(d * |E|) worst case, output-sensitive when the sweep
+  /// mass stays local — then builds per-q suffix sums (O(d * |Q|)
+  /// space).
   ///
   /// When `exec` is set, the sweep polls exec->Check() once per step
   /// (the construction's level boundary). A stop abandons the sweep:

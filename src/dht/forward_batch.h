@@ -22,12 +22,12 @@
 /// The block machinery (lane workspace, pooling, the frontier-adaptive
 /// blocked step, level grouping, write-back-under-budget) is the shared
 /// core in dht/batch_core.h; this engine supplies the forward direction
-/// policy (push over out-rows; "dense" only changes billing, because a
-/// forward push already visits exactly the nonzero rows in canonical
-/// order); ForwardWalkerBatch is the 8-lane instantiation.
+/// policy (push over out-rows, dense gather over in-rows);
+/// ForwardWalkerBatch is the 8-lane instantiation.
 ///
-/// The union support is kept SORTED at every step boundary, so per-lane
-/// summation order equals the dense sweep's CSR order: scores are
+/// The union support is sorted canonically before every push (the
+/// dense gather needs no order), so per-lane summation order equals the
+/// dense sweep's CSR order: scores are
 /// bit-identical across modes, lane groupings, thread counts, and
 /// restarted vs resumed walks (DESIGN.md §3), and match the dense
 /// reference loop in tests/testing/reference.h exactly.
@@ -57,7 +57,7 @@
 ///
 /// Node ids crossing the public interface (sources, targets) are
 /// EXTERNAL ids; the engine translates to the graph's physical layout
-/// (graph/reorder.h) at entry and keeps its union support sorted in
+/// (graph/reorder.h) at entry and pushes its union support in
 /// CANONICAL (external) order, so scores are bit-identical across
 /// layouts. Dense billing and the adaptive policy use the block's
 /// weak-component sweep plan (Graph::PlanDenseSweep), mirroring the
@@ -566,7 +566,7 @@ class ForwardWalkerBatchT {
     // replay their sparse snapshot (mass stays inside the sources'
     // components, so the plan from the lane sources covers both).
     batch_core::LoadLaneMass<W>(
-        g_, st, from_level, lane_source, width,
+        st, from_level, lane_source, width,
         [&](int b) -> const std::vector<std::pair<NodeId, double>>& {
           return states.FindSlot(lane_slot[b])->mass;
         });

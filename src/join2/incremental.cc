@@ -33,6 +33,9 @@ IncrementalTwoWayJoin::IncrementalTwoWayJoin(const Graph& g,
     cache_ = options_.state_cache->Pin(P_.nodes());
   }
   if (options_.bound == UpperBoundKind::kY) {
+    // Same span as the 2-way path's; PJ-i never reuses a table.
+    obs::ScopedSpan ybound_span(obs::TraceOf(options_.exec), "ybound");
+    ybound_span.SetAttr("cached", int64_t{0});
     ybound_ = std::make_unique<YBoundTable>(g, params, d, P, Q);
     // Charge what the S_i(P, q) sweep actually relaxed (it runs
     // frontier-adaptive steps, so a flat d * |E| would overcount).

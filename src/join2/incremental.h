@@ -62,11 +62,12 @@ class IncrementalTwoWayJoin {
     /// engine to one thread: the serving layer parallelizes across
     /// sessions, not inside one. Must outlive the join.
     BackwardStateCache* state_cache = nullptr;
-    /// Used for TRACING only (obs::TraceOf): the initial schedule
-    /// records per-round spans (level, frontier, survivors) on the
-    /// attached trace. Deadline/cancel are deliberately NOT polled in
-    /// this engine — PJ-i has no anytime-degradation story yet, so a
-    /// mid-schedule stop would leave F half-built (DESIGN.md §9).
+    /// Used for TRACING only (obs::TraceOf): the Y-bound construction
+    /// records a `ybound` span and the initial schedule per-round spans
+    /// (level, frontier, survivors) on the attached trace.
+    /// Deadline/cancel are deliberately NOT polled in this engine —
+    /// PJ-i has no anytime-degradation story yet, so a mid-schedule
+    /// stop would leave F half-built (DESIGN.md §9).
     const ExecContext* exec = nullptr;
   };
 

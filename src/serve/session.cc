@@ -691,12 +691,15 @@ Result<std::vector<TupleAnswer>> DhtJoinService::Nway(const QueryGraph& query,
   QueryStats* qs = out != nullptr ? out : &local;
   *qs = QueryStats{};
   const int64_t start_ns = clock_->NowNanos();
-  // N-way tracing is root-span-only for now: the n-way executors do
-  // not take an ExecContext yet (no degrade path — DESIGN.md §9), so
-  // there is nothing to hang engine spans on.
+  // N-way tracing: the root span, plus PJ-i's per-stream spans (Y-bound
+  // construction, deepening schedule) through a trace-only ExecContext.
+  // Nothing polls its deadline or cancel — the n-way executors have no
+  // degrade path yet (DESIGN.md §9).
   obs::Trace trace_storage(clock_);
   obs::Trace* trace = nullptr;
   if (obs::kEnabled && options_.trace_queries) trace = &trace_storage;
+  ExecContext trace_exec;
+  trace_exec.set_trace(trace);
   Result<std::vector<TupleAnswer>> result =
       Status::Internal("nway: unreachable");
   {
@@ -709,7 +712,8 @@ Result<std::vector<TupleAnswer>> DhtJoinService::Nway(const QueryGraph& query,
     } else {
       PartialJoin join(PartialJoin::Options{.incremental = true,
                                             .bound = options_.bound,
-                                            .state_cache = states_.get()});
+                                            .state_cache = states_.get(),
+                                            .exec = &trace_exec});
       result = join.Run(g_, params_, d_, query, f, k);
     }
   }

@@ -17,6 +17,7 @@ namespace {
 using testing::RandomGraph;
 using testing::Range;
 using testing::RefBackwardScores;
+using testing::RefYBound;
 using testing::TwoCommunityGraph;
 
 class BoundsSweep : public ::testing::TestWithParam<double> {};
@@ -161,47 +162,6 @@ TEST(BoundsTest, YBoundChargesRealSweepCost) {
                      NodeSet("Q", std::vector<NodeId>{1}));
   EXPECT_LT(ytable.edges_relaxed(),
             static_cast<int64_t>(d) * tiny.num_edges());
-}
-
-/// Y_l^+(P, q) from a dense reference sweep: S_i(P, q) by gathering
-/// every in-row in storage (canonical-source) order — the order the
-/// table's frontier push accumulates a node in — then the table's own
-/// suffix sum.
-std::vector<std::vector<double>> RefYBound(const Graph& g, const DhtParams& p,
-                                           int d, const NodeSet& P,
-                                           const NodeSet& Q) {
-  const auto n = static_cast<std::size_t>(g.num_nodes());
-  std::vector<double> mass(n, 0.0), next(n, 0.0);
-  for (ExtNodeId u : P) {
-    mass[static_cast<std::size_t>(g.ToInternal(u).value())] = 1.0;
-  }
-  std::vector<std::vector<double>> s(
-      Q.size(), std::vector<double>(static_cast<std::size_t>(d), 0.0));
-  for (int i = 1; i <= d; ++i) {
-    for (std::size_t w = 0; w < n; ++w) {
-      double acc = 0.0;
-      for (const InEdge& e : g.InEdges(IntNodeId(static_cast<NodeId>(w)))) {
-        acc += e.prob * mass[static_cast<std::size_t>(e.from)];
-      }
-      next[w] = acc;
-    }
-    mass.swap(next);
-    for (std::size_t qi = 0; qi < Q.size(); ++qi) {
-      s[qi][static_cast<std::size_t>(i) - 1] =
-          mass[static_cast<std::size_t>(g.ToInternal(Q[qi]).value())];
-    }
-  }
-  std::vector<std::vector<double>> bound(
-      Q.size(), std::vector<double>(static_cast<std::size_t>(d) + 1, 0.0));
-  for (std::size_t qi = 0; qi < Q.size(); ++qi) {
-    double acc = 0.0;
-    for (int l = d - 1; l >= 0; --l) {
-      acc += p.alpha * std::pow(p.lambda, l + 1) *
-             std::min(s[qi][static_cast<std::size_t>(l)], 1.0);
-      bound[qi][static_cast<std::size_t>(l)] = acc;
-    }
-  }
-  return bound;
 }
 
 TEST(BoundsTest, YBoundMatchesDenseSweepBitwiseInEveryLayout) {

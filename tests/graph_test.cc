@@ -3,11 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "graph/graph.h"
 #include "graph/graph_builder.h"
 #include "graph/node_set.h"
+#include "graph/reorder.h"
 #include "testing/reference.h"
 
 namespace dhtjoin {
@@ -172,6 +175,42 @@ TEST(NodeSetTest, ValidateAgainstGraph) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(NodeSet("bad", {0, 5}).Validate(g).code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST(GraphTest, SortCanonicalMatchesCanonicalKeySort) {
+  // SortCanonical must give std::sort's output by canonical key,
+  // duplicates included, on the insertion-ordered and reordered layouts.
+  const Graph insertion = testing::RandomGraph(200, 800, 77);
+  const Graph rcm =
+      std::move(ReorderGraph(insertion, ReorderKind::kRcm)).value();
+  const std::size_t n = static_cast<std::size_t>(insertion.num_nodes());
+
+  Rng rng(7);
+  auto random_list = [&](std::size_t s) {
+    std::vector<NodeId> list(s);
+    for (NodeId& v : list) v = static_cast<NodeId>(rng.Below(n));
+    return list;
+  };
+  std::vector<std::vector<NodeId>> lists = {{}, {17}};
+  std::vector<NodeId> all(n);
+  for (std::size_t i = 0; i < n; ++i) all[i] = static_cast<NodeId>(n - 1 - i);
+  lists.push_back(all);
+  for (std::size_t s : {std::size_t{2}, std::size_t{33}, std::size_t{120},
+                        3 * n}) {
+    lists.push_back(random_list(s));  // draws with replacement: duplicates
+  }
+  for (const Graph* g : {&insertion, &rcm}) {
+    for (const std::vector<NodeId>& list : lists) {
+      std::vector<NodeId> want = list;
+      std::sort(want.begin(), want.end(), [g](NodeId a, NodeId b) {
+        return g->ToExternal(IntNodeId(a)) < g->ToExternal(IntNodeId(b));
+      });
+      std::vector<NodeId> got = list;
+      g->SortCanonical(got);
+      EXPECT_EQ(got, want) << "s=" << list.size()
+                           << " reordered=" << g->is_reordered();
+    }
+  }
 }
 
 TEST(NodeSetTest, TopByDegreePicksHubs) {

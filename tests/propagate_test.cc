@@ -11,7 +11,9 @@
 #include <vector>
 
 #include "dht/backward_batch.h"
+#include "dht/bounds.h"
 #include "dht/forward_batch.h"
+#include "graph/reorder.h"
 #include "testing/reference.h"
 #include "util/thread_pool.h"
 
@@ -23,6 +25,7 @@ using testing::PathGraph;
 using testing::RandomGraph;
 using testing::RefBackwardScores;
 using testing::RefForwardScore;
+using testing::RefYBound;
 using testing::StarGraph;
 using testing::TwoCommunityGraph;
 
@@ -172,6 +175,96 @@ TEST(PropagateTest, AdaptiveGoesDenseOnSaturatedFrontier) {
             sparse.Run(p, 2, {&start, 1}, all));
   EXPECT_EQ(adaptive.edges_relaxed(), 23 + plan.edges);
   EXPECT_EQ(sparse.edges_relaxed(), 23 + sparse_step2);
+}
+
+// A weighted funnel: source 0 fans out to kFunnelMiddles middles, each
+// feeding the collector and one of kFunnelRelays relays; collector and
+// relays feed the head of a three-node path, and the collector also
+// returns to the source. Every weight is distinct, so each multi-addend
+// sum's bits depend on the order of its addends. The middle -> relay
+// weights are ~1e-16 of the middle -> collector ones, so each relay's
+// mass is below half an ulp of the collector's share at the path head
+// (~0.4, under the Y bound's cap of 1): that sum comes out one value
+// with the relays added first (the canonical order — their ids are
+// smaller) and another with the collector first. A two-node island is
+// its own weak component, so every dense plan is restricted.
+constexpr NodeId kFunnelMiddles = 32;
+constexpr NodeId kFunnelRelays = 8;
+constexpr NodeId kFunnelRelay = 1 + kFunnelMiddles;
+constexpr NodeId kFunnelCollector = kFunnelRelay + kFunnelRelays;
+constexpr NodeId kFunnelPath = kFunnelCollector + 1;  // three-node path
+constexpr NodeId kFunnelIsland = kFunnelPath + 3;     // two nodes
+
+Graph FunnelGraph() {
+  GraphBuilder b(kFunnelIsland + 2);
+  for (NodeId i = 0; i < kFunnelMiddles; ++i) {
+    const NodeId m = 1 + i;
+    const double x = static_cast<double>(i);
+    DHTJOIN_CHECK(b.AddEdge(0, m, 1.0 + std::sqrt(x + 2.0)).ok());
+    DHTJOIN_CHECK(b.AddEdge(m, kFunnelCollector, 2.0 + std::sqrt(x + 3.0))
+                      .ok());
+    DHTJOIN_CHECK(b.AddEdge(m, kFunnelRelay + i % kFunnelRelays,
+                            1e-16 * (1.0 + std::sqrt(x + 5.0)))
+                      .ok());
+  }
+  for (NodeId r = kFunnelRelay; r <= kFunnelCollector; ++r) {
+    DHTJOIN_CHECK(b.AddEdge(r, kFunnelPath).ok());
+  }
+  DHTJOIN_CHECK(b.AddEdge(kFunnelCollector, 0, 1.5).ok());
+  DHTJOIN_CHECK(b.AddEdge(kFunnelPath, kFunnelPath + 1).ok());
+  DHTJOIN_CHECK(b.AddEdge(kFunnelPath + 1, kFunnelPath + 2).ok());
+  DHTJOIN_CHECK(b.AddEdge(kFunnelIsland, kFunnelIsland + 1).ok());
+  DHTJOIN_CHECK(b.AddEdge(kFunnelIsland + 1, kFunnelIsland).ok());
+  return std::move(b.Build()).value();
+}
+
+TEST(PropagateTest, ForwardGatherSumsAFunnelInCanonicalOrder) {
+  // From the source, the adaptive policy pushes step 0 (a one-node
+  // frontier), gathers step 1 (32 middles whose out-degrees outweigh
+  // the restricted plan) and pushes step 2 again (collector + relays).
+  // Step 2's push consumes the support the dense gather left in plan-
+  // row order, so in a reordered layout it must sort canonically first
+  // or the path head's addends arrive in the wrong order (the degree
+  // layout puts the collector, the highest-degree node, first).
+  const Graph insertion = FunnelGraph();
+  const Graph rcm =
+      std::move(ReorderGraph(insertion, ReorderKind::kRcm)).value();
+  const Graph degree =
+      std::move(ReorderGraph(insertion, ReorderKind::kDegree)).value();
+  const DhtParams p = DhtParams::Lambda(0.8);
+  const ExtNodeId source(0);
+  const NodeSet P("P", std::vector<NodeId>{0});
+  const NodeSet Q("Q", std::vector<NodeId>{kFunnelRelay + 1, kFunnelCollector,
+                                           kFunnelPath, kFunnelPath + 2});
+  for (const Graph* g : {&insertion, &rcm, &degree}) {
+    const NodeId s = g->ToInternal(source).value();
+    const SweepPlan plan = g->PlanDenseSweep({&s, 1});
+    ASSERT_FALSE(plan.full);
+    ASSERT_EQ(plan.edges, 3 * kFunnelMiddles + kFunnelRelays + 2 + 2);
+    // Cumulative bills after 1, 2, 3 steps: the source's out-degree,
+    // then the plan's edges (dense), then the out-rows of the relays
+    // (one edge each) and the collector (two) (sparse).
+    const int64_t bill[] = {
+        kFunnelMiddles, kFunnelMiddles + plan.edges,
+        kFunnelMiddles + plan.edges + kFunnelRelays + 2};
+    for (int d = 1; d <= 3; ++d) {
+      const ExtNodeId tail(kFunnelPath + 2);
+      ForwardWalkerBatch engine(*g, {.num_threads = 1});
+      engine.Run(p, d, {&source, 1}, {&tail, 1});
+      EXPECT_EQ(engine.edges_relaxed(), bill[d - 1]) << "d=" << d;
+      EXPECT_EQ(YBoundTable(*g, p, d, P, Q).edges_relaxed(), bill[d - 1])
+          << "d=" << d;
+    }
+    const int d = 6;
+    ForwardWalkerBatch engine(*g, {.num_threads = 1});
+    for (ExtNodeId target : Q) {
+      EXPECT_EQ(engine.Run(p, d, {&source, 1}, {&target, 1})[0],
+                RefForwardScore(*g, p, d, source, target))
+          << "target " << target.value();
+    }
+    EXPECT_EQ(YBoundTable(*g, p, d, P, Q).suffix_rows(),
+              RefYBound(*g, p, d, P, Q));
+  }
 }
 
 TEST(PropagateTest, MassConservedWithoutAbsorption) {

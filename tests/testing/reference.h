@@ -7,13 +7,15 @@
 /// over the CSR rows, validated against that oracle and sharing no code
 /// with the engines; because they sum in the order DESIGN.md §3
 /// guarantees for every engine path, engine output must equal them BIT
-/// for bit. RefTwoWayJoin and RefNwayJoin are brute-force joins built
+/// for bit; RefYBound is the same kind of loop for the Y-bound sweep.
+/// RefTwoWayJoin and RefNwayJoin are brute-force joins built
 /// on top of the dense backward loop.
 
 #ifndef DHTJOIN_TESTS_TESTING_REFERENCE_H_
 #define DHTJOIN_TESTS_TESTING_REFERENCE_H_
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <unordered_set>
 #include <vector>
@@ -134,6 +136,50 @@ inline double RefForwardScore(const Graph& g, const DhtParams& params, int d,
     if (params.first_hit) mass[target] = 0.0;
   }
   return score;
+}
+
+/// Dense reference Y-bound table (Theorem 1): S_i(P, q) for i = 1..d
+/// from a non-absorbing sweep seeded with unit mass on every node of P
+/// that gathers every node's in-row in storage (canonical-source) order
+/// — the order YBoundTable's steps accumulate a node in, push or gather
+/// — then YBoundTable's own suffix sum. Returns [qi][l] = Y_l^+(P, q),
+/// the layout of YBoundTable::suffix_rows(). O(d * (n + m)).
+inline std::vector<std::vector<double>> RefYBound(const Graph& g,
+                                                  const DhtParams& p, int d,
+                                                  const NodeSet& P,
+                                                  const NodeSet& Q) {
+  const auto n = static_cast<std::size_t>(g.num_nodes());
+  std::vector<double> mass(n, 0.0), next(n, 0.0);
+  for (ExtNodeId u : P) {
+    mass[static_cast<std::size_t>(g.ToInternal(u).value())] = 1.0;
+  }
+  std::vector<std::vector<double>> s(
+      Q.size(), std::vector<double>(static_cast<std::size_t>(d), 0.0));
+  for (int i = 1; i <= d; ++i) {
+    for (std::size_t w = 0; w < n; ++w) {
+      double acc = 0.0;
+      for (const InEdge& e : g.InEdges(IntNodeId(static_cast<NodeId>(w)))) {
+        acc += e.prob * mass[static_cast<std::size_t>(e.from)];
+      }
+      next[w] = acc;
+    }
+    mass.swap(next);
+    for (std::size_t qi = 0; qi < Q.size(); ++qi) {
+      s[qi][static_cast<std::size_t>(i) - 1] =
+          mass[static_cast<std::size_t>(g.ToInternal(Q[qi]).value())];
+    }
+  }
+  std::vector<std::vector<double>> bound(
+      Q.size(), std::vector<double>(static_cast<std::size_t>(d) + 1, 0.0));
+  for (std::size_t qi = 0; qi < Q.size(); ++qi) {
+    double acc = 0.0;
+    for (int l = d - 1; l >= 0; --l) {
+      acc += p.alpha * std::pow(p.lambda, l + 1) *
+             std::min(s[qi][static_cast<std::size_t>(l)], 1.0);
+      bound[qi][static_cast<std::size_t>(l)] = acc;
+    }
+  }
+  return bound;
 }
 
 /// Brute-force 2-way join via the dense backward loop (validated

@@ -20,6 +20,7 @@
 #include "obs/clock.h"
 #include "obs/config.h"
 #include "obs/trace.h"
+#include "rankjoin/aggregate.h"
 #include "serve/session.h"
 #include "testing/reference.h"
 #include "util/deadline.h"
@@ -357,6 +358,45 @@ TEST(ServiceTracingTest, DegradedQueryTracesTheCompletedPrefix) {
     EXPECT_GT(qs.trace_spans, 0);
     EXPECT_LE(qs.trace_rounds, 3);  // never the full 8-level schedule
   }
+}
+
+TEST(ServiceTracingTest, NwayTraceShowsPjiYBoundSpans) {
+  // PJ-i builds one Y-bound table per query edge; each construction is
+  // a `ybound` span (never cached) inside the n-way query's root span.
+  if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
+  ServeFixture f;
+  DhtJoinService service(f.g, f.p, f.d,
+                         {.num_threads = 1,
+                          .trace_queries = true,
+                          .slow_query_nanos = 1});  // capture every query
+  QueryGraph query;
+  query.AddNodeSet(Range("A", 0, 12));
+  query.AddNodeSet(Range("B", 20, 32));
+  query.AddNodeSet(Range("C", 40, 52));
+  ASSERT_TRUE(query.AddEdge(0, 1).ok());
+  ASSERT_TRUE(query.AddEdge(1, 2).ok());
+  SumAggregate sum;
+  ASSERT_TRUE(service
+                  .Nway(query, sum, f.k,
+                        DhtJoinService::NwayAlgo::kPartialJoinIncremental)
+                  .ok());
+  const auto entries = service.slow_queries().Dump();
+  ASSERT_EQ(entries.size(), 1u);
+  const std::string& json = entries[0].trace_json;
+  // One root: the document IS the query.nway span, so every other span
+  // in it nests under that root.
+  EXPECT_EQ(json.rfind("{\"name\": \"query.nway\"", 0), 0u) << json;
+  std::size_t ybound_spans = 0;
+  const std::string needle = "{\"name\": \"ybound\"";
+  for (std::size_t at = json.find(needle); at != std::string::npos;
+       at = json.find(needle, at + 1)) {
+    ++ybound_spans;
+    const std::size_t close = json.find('}', at);
+    EXPECT_NE(json.substr(at, close - at).find("\"cached\": 0"),
+              std::string::npos)
+        << json;
+  }
+  EXPECT_EQ(ybound_spans, query.edges().size()) << json;
 }
 
 }  // namespace
