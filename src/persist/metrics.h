@@ -1,7 +1,8 @@
 /// \file persist/metrics.h
-/// \brief Eagerly-registered counters for the durability layer.
+/// \brief Eagerly-registered counters and gauges for the durability
+/// layer.
 ///
-/// Same discipline as cluster/metrics.h: every persist.* counter is
+/// Same discipline as cluster/metrics.h: every persist.* metric is
 /// registered at construction so exports enumerate the full set from
 /// the first scrape — a zero row is "no checkpoints yet", an absent
 /// row would be "is persistence even wired?". Names are pinned exactly
@@ -20,6 +21,8 @@ struct PersistMetrics {
         checkpoint_failures(
             registry.GetCounter("persist.checkpoint.failures")),
         checkpoint_bytes(registry.GetCounter("persist.checkpoint.bytes")),
+        checkpoint_staging_bytes(
+            registry.GetGauge("persist.checkpoint.staging_bytes")),
         restore_hits(registry.GetCounter("persist.restore.hits")),
         restore_rejects(registry.GetCounter("persist.restore.rejects")) {}
 
@@ -28,6 +31,10 @@ struct PersistMetrics {
   obs::Counter* checkpoint_failures;
   /// Encoded bytes of successful checkpoint writes.
   obs::Counter* checkpoint_bytes;
+  /// Most bytes the last checkpoint held in memory at once
+  /// (SnapshotWriter::staging_peak): bounded by the writer's buffer plus
+  /// its largest section, however large the snapshot.
+  obs::Gauge* checkpoint_staging_bytes;
   /// Cache records restored from a validated snapshot.
   obs::Counter* restore_hits;
   /// Snapshots rejected whole: fingerprint mismatch or corruption.

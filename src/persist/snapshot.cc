@@ -4,8 +4,11 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <cstdlib>
 #include <cstring>
+#include <utility>
 
 #include "util/byte_codec.h"
 
@@ -22,10 +25,50 @@ std::string DirOf(const std::string& path) {
   return path.substr(0, slash);
 }
 
-Status CloseUnlinkFail(int fd, const std::string& tmp, std::string msg) {
-  if (fd >= 0) ::close(fd);
-  ::unlink(tmp.c_str());
-  return Status::IOError(std::move(msg));
+/// Writes all of `bytes` at `offset`; false (errno set) on failure.
+bool PWriteAll(int fd, std::span<const uint8_t> bytes, uint64_t offset) {
+  while (!bytes.empty()) {
+    const ssize_t n =
+        ::pwrite(fd, bytes.data(), bytes.size(), static_cast<off_t>(offset));
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    bytes = bytes.subspan(static_cast<std::size_t>(n));
+    offset += static_cast<uint64_t>(n);
+  }
+  return true;
+}
+
+ByteWriter EncodeHeader(uint64_t graph_fp, uint64_t params_fp,
+                        uint64_t section_count) {
+  ByteWriter header(kSnapshotHeaderBytes);
+  header.U32(kSnapshotMagic);
+  header.U16(kSnapshotVersion);
+  header.U16(0);  // reserved
+  header.U64(graph_fp);
+  header.U64(params_fp);
+  header.U64(section_count);
+  header.U64(FrameChecksum(header.bytes()));
+  return header;
+}
+
+/// Frames one section as prefix, payload, checksum, handing each piece
+/// to `put` — the one framing code of both the in-memory encoder and the
+/// streaming writer.
+template <typename Put>
+void PutSection(uint32_t kind, std::span<const uint8_t> payload, Put&& put) {
+  ByteWriter prefix(kSectionPrefixBytes);
+  prefix.U32(kind);
+  prefix.U32(0);  // reserved
+  prefix.U64(static_cast<uint64_t>(payload.size()));
+  // Checksum over prefix AND payload: a flipped bit anywhere in the
+  // section — kind, reserved, length, or data — fails verification.
+  ByteWriter sum(sizeof(uint64_t));
+  sum.U64(FrameChecksum(prefix.bytes(), payload));
+  put(prefix.bytes());
+  put(payload);
+  put(sum.bytes());
 }
 
 }  // namespace
@@ -41,46 +84,130 @@ const char* CheckpointPhaseName(CheckpointPhase phase) {
   return "unknown";
 }
 
-std::vector<uint8_t> EncodeSnapshot(const SnapshotFile& file) {
-  ByteWriter header;
-  header.U32(kSnapshotMagic);
-  header.U16(kSnapshotVersion);
-  header.U16(0);  // reserved
-  header.U64(file.graph_fp);
-  header.U64(file.params_fp);
-  header.U64(static_cast<uint64_t>(file.sections.size()));
-  const uint64_t header_checksum = FrameChecksum(header.bytes());
+// --------------------------------------------------------------- writer
 
-  ByteWriter out;
-  out.U32(kSnapshotMagic);
-  out.U16(kSnapshotVersion);
-  out.U16(0);
-  out.U64(file.graph_fp);
-  out.U64(file.params_fp);
-  out.U64(static_cast<uint64_t>(file.sections.size()));
-  out.U64(header_checksum);
-  std::vector<uint8_t> bytes = out.Take();
-  for (const SnapshotSection& section : file.sections) {
-    const std::size_t section_start = bytes.size();
-    ByteWriter prefix;
-    prefix.U32(section.kind);
-    prefix.U32(0);  // reserved
-    prefix.U64(static_cast<uint64_t>(section.payload.size()));
-    auto p = prefix.Take();
-    bytes.insert(bytes.end(), p.begin(), p.end());
-    bytes.insert(bytes.end(), section.payload.begin(), section.payload.end());
-    // Checksum over prefix AND payload: a flipped bit anywhere in the
-    // section — kind, reserved, length, or data — fails verification.
-    ByteWriter sum;
-    sum.U64(FrameChecksum(std::span<const uint8_t>(
-        bytes.data() + section_start, bytes.size() - section_start)));
-    auto s = sum.Take();
-    bytes.insert(bytes.end(), s.begin(), s.end());
+SnapshotWriter::SnapshotWriter(const std::string& path, uint64_t graph_fp,
+                               uint64_t params_fp, CheckpointHook hook)
+    : path_(path),
+      tmp_(path + ".tmp.XXXXXX"),
+      graph_fp_(graph_fp),
+      params_fp_(params_fp),
+      hook_(std::move(hook)) {
+  fd_ = ::mkostemp(tmp_.data(), O_CLOEXEC);
+  if (fd_ < 0) {
+    status_ = Status::IOError("cannot create '" + tmp_ +
+                              "': " + std::strerror(errno));
+    tmp_.clear();
+    return;
   }
-  return bytes;
+  // mkstemp creates the file 0600; a snapshot is readable by tools
+  // running as other users, like the graph files it belongs to.
+  if (::fchmod(fd_, 0644) != 0) {
+    Fail("fchmod of '" + tmp_ + "'");
+    return;
+  }
+  Reached(CheckpointPhase::kAfterTempCreate);
 }
 
-Result<SnapshotFile> DecodeSnapshot(std::span<const uint8_t> bytes) {
+SnapshotWriter::~SnapshotWriter() { Abandon(); }
+
+Status SnapshotWriter::Append(uint32_t kind,
+                              std::span<const uint8_t> payload) {
+  if (!status_.ok()) return status_;
+  staging_peak_ = std::max(staging_peak_, buf_.size() + kSectionPrefixBytes +
+                                              payload.size() +
+                                              sizeof(uint64_t));
+  PutSection(kind, payload, [this](std::span<const uint8_t> b) { Put(b); });
+  ++sections_;
+  return status_;
+}
+
+Status SnapshotWriter::Commit() {
+  // Each step runs only while every earlier one succeeded and the hook
+  // let the write go on; the first failure sticks in status_.
+  if (status_.ok()) Flush();
+  if (status_.ok() &&
+      !PWriteAll(fd_, EncodeHeader(graph_fp_, params_fp_, sections_).bytes(),
+                 0)) {
+    Fail("write to '" + tmp_ + "'");
+  }
+  if (Reached(CheckpointPhase::kAfterTempWrite) && ::fsync(fd_) != 0) {
+    Fail("fsync of '" + tmp_ + "'");
+  }
+  if (Reached(CheckpointPhase::kAfterFsync) &&
+      ::close(std::exchange(fd_, -1)) != 0) {
+    Fail("close of '" + tmp_ + "'");
+  }
+  if (Reached(CheckpointPhase::kBeforeRename) &&
+      ::rename(tmp_.c_str(), path_.c_str()) != 0) {
+    Fail("rename '" + tmp_ + "' -> '" + path_ + "'");
+  }
+  if (!status_.ok()) return status_;
+  tmp_.clear();  // renamed: nothing left to unlink
+  // Make the rename itself durable: fsync the containing directory.
+  const std::string dir = DirOf(path_);
+  const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (dfd >= 0) {
+    (void)::fsync(dfd);
+    ::close(dfd);
+  }
+  // The snapshot is already durable; an abandon here changes nothing.
+  Reached(CheckpointPhase::kAfterRename);
+  return status_;
+}
+
+void SnapshotWriter::Put(std::span<const uint8_t> bytes) {
+  while (!bytes.empty() && status_.ok()) {
+    const std::size_t n = std::min(bytes.size(), kBufferBytes - buf_.size());
+    buf_.Bytes(bytes.first(n));
+    bytes = bytes.subspan(n);
+    if (buf_.size() == kBufferBytes) Flush();
+  }
+}
+
+void SnapshotWriter::Flush() {
+  if (!PWriteAll(fd_, buf_.bytes(), flushed_)) {
+    Fail("write to '" + tmp_ + "'");
+    return;
+  }
+  flushed_ += buf_.size();
+  buf_.Clear();
+}
+
+bool SnapshotWriter::Reached(CheckpointPhase phase) {
+  if (!status_.ok()) return false;
+  if (!hook_ || hook_(phase)) return true;
+  Abandon();
+  status_ = Status::Cancelled(std::string("checkpoint abandoned by hook at ") +
+                              CheckpointPhaseName(phase));
+  return false;
+}
+
+void SnapshotWriter::Fail(const std::string& what) {
+  const std::string err = std::strerror(errno);
+  Abandon();
+  status_ = Status::IOError(what + " failed: " + err);
+}
+
+void SnapshotWriter::Abandon() {
+  if (fd_ >= 0) ::close(std::exchange(fd_, -1));
+  if (!tmp_.empty()) ::unlink(tmp_.c_str());
+  tmp_.clear();
+}
+
+// ----------------------------------------------------------- in memory
+
+std::vector<uint8_t> EncodeSnapshot(const SnapshotFile& file) {
+  ByteWriter out = EncodeHeader(file.graph_fp, file.params_fp,
+                                static_cast<uint64_t>(file.sections.size()));
+  for (const SnapshotSection& section : file.sections) {
+    PutSection(section.kind, section.payload,
+               [&out](std::span<const uint8_t> b) { out.Bytes(b); });
+  }
+  return out.Take();
+}
+
+Result<SnapshotView> DecodeSnapshotView(std::span<const uint8_t> bytes) {
   if (bytes.size() < kSnapshotHeaderBytes) {
     return Status::InvalidArgument("snapshot corrupt: shorter than header");
   }
@@ -88,7 +215,7 @@ Result<SnapshotFile> DecodeSnapshot(std::span<const uint8_t> bytes) {
   const uint32_t magic = r.U32();
   const uint16_t version = r.U16();
   (void)r.U16();  // reserved
-  SnapshotFile file;
+  SnapshotView file;
   file.graph_fp = r.U64();
   file.params_fp = r.U64();
   const uint64_t section_count = r.U64();
@@ -120,7 +247,7 @@ Result<SnapshotFile> DecodeSnapshot(std::span<const uint8_t> bytes) {
     }
     const std::size_t section_start = off;
     ByteReader pr(bytes.subspan(off, kSectionPrefixBytes));
-    SnapshotSection section;
+    SnapshotSectionView section;
     section.kind = pr.U32();
     (void)pr.U32();  // reserved (covered by the section checksum)
     const uint64_t len = pr.U64();
@@ -130,19 +257,17 @@ Result<SnapshotFile> DecodeSnapshot(std::span<const uint8_t> bytes) {
           "snapshot corrupt: section " + std::to_string(i) + " length " +
           std::to_string(len) + " overruns the file");
     }
-    auto payload = bytes.subspan(off, static_cast<std::size_t>(len));
+    section.payload = bytes.subspan(off, static_cast<std::size_t>(len));
     off += static_cast<std::size_t>(len);
     ByteReader cr(bytes.subspan(off, sizeof(uint64_t)));
     const uint64_t checksum = cr.U64();
     off += sizeof(uint64_t);
-    const auto covered = bytes.subspan(
-        section_start, kSectionPrefixBytes + static_cast<std::size_t>(len));
-    if (FrameChecksum(covered) != checksum) {
+    if (FrameChecksum(bytes.subspan(section_start, kSectionPrefixBytes),
+                      section.payload) != checksum) {
       return Status::InvalidArgument("snapshot corrupt: section " +
                                      std::to_string(i) + " checksum");
     }
-    section.payload.assign(payload.begin(), payload.end());
-    file.sections.push_back(std::move(section));
+    file.sections.push_back(section);
   }
   if (off != bytes.size()) {
     return Status::InvalidArgument("snapshot corrupt: trailing bytes");
@@ -150,70 +275,20 @@ Result<SnapshotFile> DecodeSnapshot(std::span<const uint8_t> bytes) {
   return file;
 }
 
-Status WriteFileAtomic(const std::string& path,
-                       std::span<const uint8_t> bytes,
-                       const CheckpointHook& hook) {
-  const std::string tmp =
-      path + ".tmp." + std::to_string(static_cast<long long>(::getpid()));
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
-                        0644);
-  if (fd < 0) {
-    return Status::IOError("cannot create '" + tmp +
-                           "': " + std::strerror(errno));
+Result<SnapshotFile> DecodeSnapshot(std::span<const uint8_t> bytes) {
+  DHTJOIN_ASSIGN_OR_RETURN(SnapshotView view, DecodeSnapshotView(bytes));
+  SnapshotFile file;
+  file.graph_fp = view.graph_fp;
+  file.params_fp = view.params_fp;
+  file.sections.reserve(view.sections.size());
+  for (const SnapshotSectionView& section : view.sections) {
+    file.sections.push_back(SnapshotSection{
+        section.kind, {section.payload.begin(), section.payload.end()}});
   }
-  auto abandoned = [&]() {
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    return Status::Cancelled("checkpoint abandoned by hook");
-  };
-  if (hook && !hook(CheckpointPhase::kAfterTempCreate)) return abandoned();
-
-  std::size_t written = 0;
-  while (written < bytes.size()) {
-    const ssize_t n = ::write(fd, bytes.data() + written,
-                              bytes.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return CloseUnlinkFail(fd, tmp, "write to '" + tmp +
-                                          "' failed: " + std::strerror(errno));
-    }
-    written += static_cast<std::size_t>(n);
-  }
-  if (hook && !hook(CheckpointPhase::kAfterTempWrite)) return abandoned();
-
-  if (::fsync(fd) != 0) {
-    return CloseUnlinkFail(fd, tmp, "fsync of '" + tmp +
-                                        "' failed: " + std::strerror(errno));
-  }
-  if (hook && !hook(CheckpointPhase::kAfterFsync)) return abandoned();
-  if (::close(fd) != 0) {
-    ::unlink(tmp.c_str());
-    return Status::IOError("close of '" + tmp +
-                           "' failed: " + std::strerror(errno));
-  }
-
-  if (hook && !hook(CheckpointPhase::kBeforeRename)) {
-    ::unlink(tmp.c_str());
-    return Status::Cancelled("checkpoint abandoned by hook");
-  }
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    ::unlink(tmp.c_str());
-    return Status::IOError("rename '" + tmp + "' -> '" + path +
-                           "' failed: " + std::strerror(errno));
-  }
-  // Make the rename itself durable: fsync the containing directory.
-  const std::string dir = DirOf(path);
-  const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (dfd >= 0) {
-    (void)::fsync(dfd);
-    ::close(dfd);
-  }
-  if (hook && !hook(CheckpointPhase::kAfterRename)) {
-    // The snapshot is already durable; an abandon here changes nothing.
-    return Status::Cancelled("checkpoint abandoned by hook (after rename)");
-  }
-  return Status::OK();
+  return file;
 }
+
+// ---------------------------------------------------------------- files
 
 Result<std::vector<uint8_t>> ReadFileBytes(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
@@ -224,26 +299,39 @@ Result<std::vector<uint8_t>> ReadFileBytes(const std::string& path) {
     return Status::IOError("cannot open '" + path +
                            "': " + std::strerror(errno));
   }
-  std::vector<uint8_t> bytes;
-  uint8_t buf[1 << 16];
-  for (;;) {
-    const ssize_t n = ::read(fd, buf, sizeof(buf));
+  auto fail = [&](const char* what) {
+    const std::string err = std::strerror(errno);
+    ::close(fd);
+    return Status::IOError(std::string(what) + " of '" + path +
+                           "' failed: " + err);
+  };
+  struct stat st {};
+  if (::fstat(fd, &st) != 0) return fail("fstat");
+  // Snapshots are replaced by rename, never rewritten in place, so the
+  // size fstat reports is the size of the file this fd reads.
+  std::vector<uint8_t> bytes(static_cast<std::size_t>(st.st_size));
+  std::size_t got = 0;
+  while (got < bytes.size()) {
+    const ssize_t n = ::read(fd, bytes.data() + got, bytes.size() - got);
     if (n < 0) {
       if (errno == EINTR) continue;
-      const std::string err = std::strerror(errno);
-      ::close(fd);
-      return Status::IOError("read of '" + path + "' failed: " + err);
+      return fail("read");
     }
     if (n == 0) break;
-    bytes.insert(bytes.end(), buf, buf + n);
+    got += static_cast<std::size_t>(n);
   }
   ::close(fd);
+  bytes.resize(got);
   return bytes;
 }
 
 Status WriteSnapshotFile(const std::string& path, const SnapshotFile& file,
                          const CheckpointHook& hook) {
-  return WriteFileAtomic(path, EncodeSnapshot(file), hook);
+  SnapshotWriter writer(path, file.graph_fp, file.params_fp, hook);
+  for (const SnapshotSection& section : file.sections) {
+    DHTJOIN_RETURN_NOT_OK(writer.Append(section.kind, section.payload));
+  }
+  return writer.Commit();
 }
 
 Result<SnapshotFile> ReadSnapshotFile(const std::string& path) {

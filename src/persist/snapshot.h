@@ -11,8 +11,10 @@
 /// (util/byte_codec.h), so disk corruption and wire corruption are
 /// caught by one verified primitive.
 ///
-/// The writer is crash-safe by construction: bytes go to a temp file
-/// in the destination directory, are fsync'd, and reach `path` only
+/// The writer streams: sections pass through one fixed buffer into a
+/// temp file of the writer's own in the destination directory, so a
+/// checkpoint never stages the whole file in memory. It is crash-safe
+/// by construction: the bytes are fsync'd and reach `path` only
 /// through rename(2) — POSIX-atomic — followed by a directory fsync.
 /// A kill -9 at ANY byte offset of the write therefore leaves either
 /// the previous snapshot (rename not reached) or the complete new one
@@ -36,6 +38,7 @@
 #include <string>
 #include <vector>
 
+#include "util/byte_codec.h"
 #include "util/status.h"
 
 namespace dhtjoin::persist {
@@ -76,6 +79,21 @@ struct SnapshotFile {
   std::vector<SnapshotSection> sections;
 };
 
+/// A section of a verified snapshot, viewed in place: `payload` points
+/// into the bytes it was decoded from.
+struct SnapshotSectionView {
+  uint32_t kind = 0;
+  std::span<const uint8_t> payload;
+};
+
+/// A verified snapshot whose sections are views into the decoded bytes;
+/// valid only while those bytes are.
+struct SnapshotView {
+  uint64_t graph_fp = 0;
+  uint64_t params_fp = 0;
+  std::vector<SnapshotSectionView> sections;
+};
+
 /// The atomic writer's observable phases, in execution order. A crash
 /// before kAfterRename leaves the previous snapshot; at/after it, the
 /// new one. There is no third outcome.
@@ -90,32 +108,97 @@ inline constexpr int kNumCheckpointPhases = 5;
 
 const char* CheckpointPhaseName(CheckpointPhase phase);
 
-/// Invoked by WriteFileAtomic at each phase. Returning false abandons
+/// Invoked by SnapshotWriter at each phase. Returning false abandons
 /// the write (temp file unlinked, Status{kCancelled}) — the unit-test
 /// simulation of a kill at that byte offset. The chaos harness's hook
 /// instead raises SIGKILL and never returns.
 using CheckpointHook = std::function<bool(CheckpointPhase)>;
 
-/// Serializes a snapshot (header + checksummed sections).
+/// Streams a snapshot crash-safely to `path`, one section at a time.
+///
+/// The constructor creates a temp file of its own (mkstemp) in the
+/// destination directory, so concurrent writers to one path never share
+/// it. Append frames each section (prefix + payload + checksum) into a
+/// fixed kBufferBytes buffer that is written to the temp file whenever
+/// it fills. Commit writes the rest, back-patches the header (whose
+/// section count is known only then) at offset 0, and runs fsync ->
+/// close -> rename -> directory fsync. The file bytes equal
+/// EncodeSnapshot of the same sections.
+///
+/// Errors are sticky: after a failed or abandoned step every later call
+/// returns the same status. The temp file is unlinked on any failure,
+/// and by the destructor of a writer that never committed.
+class SnapshotWriter {
+ public:
+  /// Staging buffer size; the writer never holds more than this plus
+  /// the section it is framing.
+  static constexpr std::size_t kBufferBytes = std::size_t{1} << 20;
+
+  SnapshotWriter(const std::string& path, uint64_t graph_fp,
+                 uint64_t params_fp, CheckpointHook hook = nullptr);
+  ~SnapshotWriter();
+  SnapshotWriter(const SnapshotWriter&) = delete;
+  SnapshotWriter& operator=(const SnapshotWriter&) = delete;
+
+  /// Frames one section. `payload` is not referenced after return.
+  Status Append(uint32_t kind, std::span<const uint8_t> payload);
+
+  /// Makes the snapshot durable under `path` (see the class comment).
+  Status Commit();
+
+  /// Snapshot bytes framed so far (the file size after Commit).
+  uint64_t bytes() const { return flushed_ + buf_.size(); }
+
+  /// The most bytes held at once: unflushed buffer + the framed section
+  /// in hand. At most kBufferBytes + the largest framed section.
+  std::size_t staging_peak() const { return staging_peak_; }
+
+ private:
+  /// Appends to the staging buffer, writing it out each time it fills.
+  void Put(std::span<const uint8_t> bytes);
+  /// Writes the staging buffer to the temp file at its file offset.
+  void Flush();
+  /// Fires `hook_` at `phase` if no step has failed; false if one has
+  /// or the hook abandons the write (then a sticky kCancelled).
+  bool Reached(CheckpointPhase phase);
+  /// Sticks an IOError naming `what` and errno, then Abandon()s.
+  void Fail(const std::string& what);
+  /// Closes and unlinks the temp file, if still open / not renamed.
+  void Abandon();
+
+  std::string path_;
+  std::string tmp_;
+  uint64_t graph_fp_;
+  uint64_t params_fp_;
+  CheckpointHook hook_;
+  int fd_ = -1;
+  Status status_;
+  ByteWriter buf_{kBufferBytes};
+  // Temp-file offset of buf_'s first byte. The header's bytes are left
+  // as a hole until Commit writes them.
+  uint64_t flushed_ = kSnapshotHeaderBytes;
+  uint64_t sections_ = 0;
+  std::size_t staging_peak_ = 0;
+};
+
+/// Serializes a snapshot (header + checksummed sections) in memory.
 std::vector<uint8_t> EncodeSnapshot(const SnapshotFile& file);
 
 /// Fail-closed decode: bad magic/version, a broken header or section
 /// checksum, an out-of-bounds length, or trailing bytes all yield
-/// kInvalidArgument — never a partially-filled snapshot.
+/// kInvalidArgument — never a partially-filled snapshot. Every section
+/// is verified before this returns; the views point into `bytes`.
+Result<SnapshotView> DecodeSnapshotView(std::span<const uint8_t> bytes);
+
+/// DecodeSnapshotView with each payload copied out.
 Result<SnapshotFile> DecodeSnapshot(std::span<const uint8_t> bytes);
 
-/// Crash-safely replaces `path` with `bytes`: temp file in the same
-/// directory -> write -> fsync -> rename -> directory fsync. `hook`
-/// (optional) observes each CheckpointPhase.
-Status WriteFileAtomic(const std::string& path,
-                       std::span<const uint8_t> bytes,
-                       const CheckpointHook& hook = nullptr);
-
-/// Reads a whole file. kNotFound when `path` does not exist (the
-/// ordinary cold start), kIOError on any other failure.
+/// Reads a whole file into one buffer sized from fstat. kNotFound when
+/// `path` does not exist (the ordinary cold start), kIOError on any
+/// other failure.
 Result<std::vector<uint8_t>> ReadFileBytes(const std::string& path);
 
-/// WriteFileAtomic of EncodeSnapshot(file).
+/// Streams `file` through a SnapshotWriter.
 Status WriteSnapshotFile(const std::string& path, const SnapshotFile& file,
                          const CheckpointHook& hook = nullptr);
 

@@ -306,33 +306,32 @@ obs::MetricsSnapshot DhtJoinService::SnapshotMetrics() {
 
 Status DhtJoinService::SaveWarmState(const std::string& path,
                                      const persist::CheckpointHook& hook) {
-  persist::SnapshotFile file;
-  file.graph_fp = graph_fp_;
-  file.params_fp = ParamsFingerprint(params_, d_);
-  std::vector<ScoreCache::ExportedEntry> entries = cache_.Export();
-  file.sections.reserve(entries.size());
-  for (const ScoreCache::ExportedEntry& e : entries) {
-    std::vector<uint8_t> payload = EncodeCacheRecord(e.key, *e.entry);
-    // Empty = not snapshotable (e.g. an abandoned Y-bound sweep).
-    if (payload.empty()) continue;
-    file.sections.push_back(persist::SnapshotSection{
-        SectionKindFor(e.key.kind), std::move(payload)});
+  persist::SnapshotWriter writer(path, graph_fp_,
+                                 ParamsFingerprint(params_, d_), hook);
+  ByteWriter record;
+  Status status;
+  for (const ScoreCache::ExportedEntry& e : cache_.Export()) {
+    // false = not snapshotable (e.g. an abandoned Y-bound sweep).
+    if (!EncodeCacheRecord(e.key, *e.entry, record)) continue;
+    status = writer.Append(SectionKindFor(e.key.kind), record.bytes());
+    if (!status.ok()) break;
   }
-  const std::vector<uint8_t> bytes = persist::EncodeSnapshot(file);
-  const Status status = persist::WriteFileAtomic(path, bytes, hook);
+  if (status.ok()) status = writer.Commit();
+  persist_metrics_.checkpoint_staging_bytes->Set(
+      static_cast<double>(writer.staging_peak()));
   if (!status.ok()) {
     persist_metrics_.checkpoint_failures->Increment();
     return status;
   }
   persist_metrics_.checkpoint_writes->Increment();
-  persist_metrics_.checkpoint_bytes->Add(static_cast<int64_t>(bytes.size()));
+  persist_metrics_.checkpoint_bytes->Add(static_cast<int64_t>(writer.bytes()));
   return Status::OK();
 }
 
 Result<int64_t> DhtJoinService::LoadWarmState(const std::string& path) {
   Result<std::vector<uint8_t>> bytes = persist::ReadFileBytes(path);
   if (!bytes.ok()) return bytes.status();  // kNotFound = ordinary cold start
-  Result<persist::SnapshotFile> decoded = persist::DecodeSnapshot(*bytes);
+  Result<persist::SnapshotView> decoded = persist::DecodeSnapshotView(*bytes);
   if (!decoded.ok()) {
     persist_metrics_.restore_rejects->Increment();
     return decoded.status();
@@ -349,7 +348,7 @@ Result<int64_t> DhtJoinService::LoadWarmState(const std::string& path) {
   // whole or not at all, so a refused file leaves the cache as it was.
   std::vector<DecodedCacheRecord> records;
   records.reserve(decoded->sections.size());
-  for (const persist::SnapshotSection& section : decoded->sections) {
+  for (const persist::SnapshotSectionView& section : decoded->sections) {
     Result<DecodedCacheRecord> record =
         DecodeCacheRecord(section.kind, section.payload, graph_fp_, params_);
     if (!record.ok()) {

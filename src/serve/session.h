@@ -229,7 +229,9 @@ class DhtJoinService {
   /// snapshot or the new one, never a corrupt file). `hook` observes
   /// the writer's phases; the chaos harness uses it to kill
   /// mid-checkpoint at a seeded phase. Thread-safe; may run while
-  /// queries are in flight (the export is a point-in-time copy).
+  /// queries are in flight (the export is a point-in-time copy), and
+  /// beside another save of the same path (each streams to its own
+  /// temp file; the last rename wins).
   Status SaveWarmState(const std::string& path,
                        const persist::CheckpointHook& hook = nullptr);
 

@@ -118,14 +118,14 @@ uint32_t SectionKindFor(CachePayload kind) {
   return 0;
 }
 
-std::vector<uint8_t> EncodeCacheRecord(const CacheKey& key,
-                                       const CacheEntry& entry) {
-  ByteWriter w;
+bool EncodeCacheRecord(const CacheKey& key, const CacheEntry& entry,
+                       ByteWriter& w) {
+  w.Clear();
   WriteKeyCommon(w, key);
   switch (key.kind) {
     case CachePayload::kBatchState: {
       const auto* batch = dynamic_cast<const CachedBatchState*>(&entry);
-      if (batch == nullptr) return {};
+      if (batch == nullptr) return false;
       w.I64(batch->snap.level);
       w.F64Bits(batch->snap.lambda_pow);
       WriteMass(w, batch->snap.mass);
@@ -134,13 +134,13 @@ std::vector<uint8_t> EncodeCacheRecord(const CacheKey& key,
     }
     case CachePayload::kEdgeTable: {
       const auto* table = dynamic_cast<const CachedTable*>(&entry);
-      if (table == nullptr || table->table == nullptr) return {};
+      if (table == nullptr || table->table == nullptr) return false;
       WriteDoubles(w, *table->table);
       break;
     }
     case CachePayload::kYBound: {
       const auto* bound = dynamic_cast<const CachedYBound*>(&entry);
-      if (bound == nullptr || !bound->table.complete()) return {};
+      if (bound == nullptr || !bound->table.complete()) return false;
       w.I64(bound->table.d());
       w.I64(bound->table.edges_relaxed());
       w.U64(bound->num_targets_hint);
@@ -152,7 +152,7 @@ std::vector<uint8_t> EncodeCacheRecord(const CacheKey& key,
       break;
     }
   }
-  return w.Take();
+  return true;
 }
 
 Result<DecodedCacheRecord> DecodeCacheRecord(uint32_t section_kind,

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "serve/score_cache.h"
+#include "util/byte_codec.h"
 
 namespace dhtjoin::serve {
 
@@ -35,11 +36,13 @@ namespace dhtjoin::serve {
 /// never reorder).
 uint32_t SectionKindFor(CachePayload kind);
 
-/// Encodes one (key, entry) pair as a snapshot section payload.
-/// `entry` must match `key.kind` (all of serve/ pairs them
-/// consistently); a mismatch returns an empty buffer.
-std::vector<uint8_t> EncodeCacheRecord(const CacheKey& key,
-                                       const CacheEntry& entry);
+/// Encodes one (key, entry) pair as a snapshot section payload into
+/// `out`, which is cleared first (its capacity is kept, so one writer
+/// serves a whole checkpoint). `entry` must match `key.kind` (all of
+/// serve/ pairs them consistently); false on a mismatch or an entry
+/// that is not snapshotable.
+bool EncodeCacheRecord(const CacheKey& key, const CacheEntry& entry,
+                       ByteWriter& out);
 
 struct DecodedCacheRecord {
   CacheKey key;

@@ -1,6 +1,7 @@
 #include "util/byte_codec.h"
 
 #include <bit>
+#include <cassert>
 #include <cstring>
 
 #include "util/rng.h"
@@ -72,26 +73,43 @@ Status ByteReader::Finish() const {
 
 // -------------------------------------------------------------- checksum
 
-uint64_t FrameChecksum(std::span<const uint8_t> payload) {
-  // SplitMix64 chain over 8-byte words, then the tail, then the length.
-  // Chained (each word is folded into the state through the full mixer)
-  // so reordered or shifted bytes change the sum, unlike a XOR fold.
-  uint64_t acc = 0x9e3779b97f4a7c15ULL ^ payload.size();
+namespace {
+
+/// Folds `bytes` into the chain: 8-byte words, then the zero-padded tail.
+uint64_t FoldWords(uint64_t acc, std::span<const uint8_t> bytes) {
   std::size_t i = 0;
-  for (; i + 8 <= payload.size(); i += 8) {
+  for (; i + 8 <= bytes.size(); i += 8) {
     uint64_t word = 0;
-    std::memcpy(&word, payload.data() + i, 8);
+    std::memcpy(&word, bytes.data() + i, 8);
     uint64_t s = acc ^ word;
     acc = SplitMix64(s);
   }
-  if (i < payload.size()) {
+  if (i < bytes.size()) {
     uint64_t tail = 0;
-    std::memcpy(&tail, payload.data() + i, payload.size() - i);
+    std::memcpy(&tail, bytes.data() + i, bytes.size() - i);
     uint64_t s = acc ^ tail;
     acc = SplitMix64(s);
   }
-  uint64_t fin = acc;
-  return SplitMix64(fin);
+  return acc;
+}
+
+}  // namespace
+
+uint64_t FrameChecksum(std::span<const uint8_t> payload) {
+  return FrameChecksum({}, payload);
+}
+
+uint64_t FrameChecksum(std::span<const uint8_t> head,
+                       std::span<const uint8_t> body) {
+  // SplitMix64 chain seeded with the length, over 8-byte words, then
+  // the tail. Chained (each word is folded into the state through the
+  // full mixer) so reordered or shifted bytes change the sum, unlike a
+  // XOR fold. A whole-word head leaves body's words where the
+  // concatenation has them, so the sum is that of head ++ body.
+  assert(head.size() % 8 == 0);
+  uint64_t acc = 0x9e3779b97f4a7c15ULL ^ (head.size() + body.size());
+  acc = FoldWords(FoldWords(acc, head), body);
+  return SplitMix64(acc);
 }
 
 }  // namespace dhtjoin

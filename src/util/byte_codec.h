@@ -46,7 +46,11 @@ class ByteWriter {
   }
 
   std::span<const uint8_t> bytes() const { return buf_; }
+  std::size_t size() const { return buf_.size(); }
   std::vector<uint8_t> Take() { return std::move(buf_); }
+  /// Empties the buffer but keeps its capacity, so one writer can
+  /// encode a stream of messages with no allocation once it has grown.
+  void Clear() { buf_.clear(); }
 
  private:
   void Put(uint64_t v, std::size_t n);  // the low n bytes of v
@@ -91,6 +95,11 @@ class ByteReader {
 /// truncation/bit-flip faults the chaos harness injects, real half-dead
 /// peers produce, and torn or rotted disk sectors leave behind.
 uint64_t FrameChecksum(std::span<const uint8_t> payload);
+
+/// FrameChecksum of `head` followed by `body`, without joining them.
+/// `head.size()` must be a multiple of 8 (a fixed-size frame prefix).
+uint64_t FrameChecksum(std::span<const uint8_t> head,
+                       std::span<const uint8_t> body);
 
 }  // namespace dhtjoin
 

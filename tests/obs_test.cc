@@ -361,6 +361,10 @@ TEST(PersistMetricsTest, EveryCounterIsRegisteredEagerlyAtZero) {
     ASSERT_NE(c, nullptr) << name;
     EXPECT_EQ(c->value, 0) << name;
   }
+  const obs::GaugeSnapshot* staging =
+      snap.FindGauge("persist.checkpoint.staging_bytes");
+  ASSERT_NE(staging, nullptr);
+  EXPECT_EQ(staging->value, 0.0);
 }
 
 TEST(PersistMetricsTest, ValuesExportExactlyInJsonAndPrometheus) {
@@ -370,6 +374,7 @@ TEST(PersistMetricsTest, ValuesExportExactlyInJsonAndPrometheus) {
   metrics.checkpoint_bytes->Add(65536);
   metrics.restore_hits->Add(41);
   metrics.restore_rejects->Increment();
+  metrics.checkpoint_staging_bytes->Set(1048600);
 
   const obs::MetricsSnapshot snap = registry.Snapshot();
   EXPECT_EQ(snap.FindCounter("persist.checkpoint.writes")->value, 3);
@@ -392,6 +397,10 @@ TEST(PersistMetricsTest, ValuesExportExactlyInJsonAndPrometheus) {
       << prom;
   EXPECT_NE(prom.find("dhtjoin_persist_restore_rejects 1\n"),
             std::string::npos);
+  EXPECT_NE(prom.find("# TYPE dhtjoin_persist_checkpoint_staging_bytes gauge\n"
+                      "dhtjoin_persist_checkpoint_staging_bytes 1048600\n"),
+            std::string::npos)
+      << prom;
 }
 
 TEST(ThreadPoolMetricsTest, ConcurrentPoolRecordsEveryTask) {

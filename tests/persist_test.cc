@@ -6,13 +6,19 @@
 /// cold one (DESIGN.md §13).
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <future>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cluster/chaos.h"
@@ -32,6 +38,7 @@ using persist::EncodeSnapshot;
 using persist::ReadSnapshotFile;
 using persist::SnapshotFile;
 using persist::SnapshotSection;
+using persist::SnapshotWriter;
 using persist::WriteSnapshotFile;
 using serve::DhtJoinService;
 using testing::RandomGraph;
@@ -46,6 +53,74 @@ void WriteRawFile(const std::string& path, const std::vector<uint8_t>& bytes) {
   out.write(reinterpret_cast<const char*>(bytes.data()),
             static_cast<std::streamsize>(bytes.size()));
   ASSERT_TRUE(out.good());
+}
+
+/// Writer temp files (`<name>.tmp.*`) left beside `path`.
+std::vector<std::string> LeftoverTempFiles(const std::string& path) {
+  const std::filesystem::path p(path);
+  const std::string prefix = p.filename().string() + ".tmp.";
+  std::vector<std::string> left;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(p.parent_path())) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind(prefix, 0) == 0) left.push_back(name);
+  }
+  return left;
+}
+
+std::vector<uint8_t> ReadBytes(const std::string& path) {
+  Result<std::vector<uint8_t>> bytes = persist::ReadFileBytes(path);
+  EXPECT_TRUE(bytes.ok()) << bytes.status().ToString();
+  return bytes.ok() ? *bytes : std::vector<uint8_t>{};
+}
+
+/// Every strict prefix and every single-bit flip of `bytes` in
+/// [begin, end) must decode to kInvalidArgument.
+void ExpectPrefixesAndFlipsRejected(const std::vector<uint8_t>& bytes,
+                                    std::size_t begin, std::size_t end) {
+  for (std::size_t len = begin; len < std::min(end, bytes.size()); ++len) {
+    Result<SnapshotFile> r =
+        DecodeSnapshot(std::span<const uint8_t>(bytes.data(), len));
+    ASSERT_FALSE(r.ok()) << "prefix of " << len << " bytes accepted";
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+        << "prefix of " << len << " bytes";
+  }
+  std::vector<uint8_t> mutated = bytes;
+  for (std::size_t i = begin; i < std::min(end, bytes.size()); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      mutated[i] = static_cast<uint8_t>(bytes[i] ^ (1u << bit));
+      Result<SnapshotFile> r = DecodeSnapshot(mutated);
+      EXPECT_FALSE(r.ok()) << "byte " << i << " bit " << bit << " accepted";
+    }
+    mutated[i] = bytes[i];
+  }
+}
+
+/// Sections that make the streaming writer flush in the middle of a
+/// section and frame one section larger than its whole buffer.
+SnapshotFile MultiBufferSnapshot() {
+  SnapshotFile file;
+  file.graph_fp = 0x0102030405060708ull;
+  file.params_fp = 0x1112131415161718ull;
+  uint32_t x = 12345;
+  auto bytes_of = [&x](std::size_t n) {
+    std::vector<uint8_t> v(n);
+    for (uint8_t& b : v) {
+      x = x * 1103515245u + 12345u;
+      b = static_cast<uint8_t>(x >> 16);
+    }
+    return v;
+  };
+  // 347 sections of 3,001 bytes (3,025 framed) run past the first
+  // buffer flush.
+  for (int i = 0; i < 347; ++i) {
+    file.sections.push_back(SnapshotSection{2, bytes_of(3001)});
+  }
+  file.sections.push_back(SnapshotSection{3, {}});
+  file.sections.push_back(
+      SnapshotSection{4, bytes_of(SnapshotWriter::kBufferBytes + 4097)});
+  file.sections.push_back(SnapshotSection{2, bytes_of(17)});
+  return file;
 }
 
 SnapshotFile SampleSnapshot() {
@@ -87,6 +162,41 @@ TEST(SnapshotCodecTest, RoundTripsHeaderAndSections) {
     EXPECT_EQ(decoded->sections[i].kind, file.sections[i].kind);
     EXPECT_EQ(decoded->sections[i].payload, file.sections[i].payload);
   }
+}
+
+TEST(SnapshotCodecTest, SplitChecksumEqualsJoinedChecksum) {
+  // Sections are checksummed as (prefix, payload) without joining them;
+  // the sum must be the one over the joined bytes, or the format moves.
+  std::vector<uint8_t> bytes(61);
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<uint8_t>(i * 37 + 11);
+  }
+  const std::span<const uint8_t> all(bytes);
+  for (std::size_t head = 0; head <= 48; head += 8) {
+    for (std::size_t len = head; len <= all.size(); ++len) {
+      EXPECT_EQ(FrameChecksum(all.first(head), all.subspan(head, len - head)),
+                FrameChecksum(all.first(len)))
+          << "head " << head << " len " << len;
+    }
+  }
+}
+
+TEST(SnapshotCodecTest, EncodingIsPinnedToVersion1Bytes) {
+  // The version-1 bytes of SampleSnapshot(), in memory and streamed: an
+  // encoding change that keeps the version number fails here.
+  const std::vector<uint8_t> header = {
+      68, 72,  83,  80,  1,   0,   0,   0,   136, 119, 102, 85,  68, 51,
+      34, 17,  0,   255, 238, 221, 204, 187, 170, 153, 3,   0,   0,  0,
+      0,  0,   0,   0,   73,  94,  187, 190, 74,  73,  46,  238};
+  const std::string path = TempPath("golden.snap");
+  ASSERT_TRUE(WriteSnapshotFile(path, SampleSnapshot()).ok());
+  for (const std::vector<uint8_t>& bytes :
+       {EncodeSnapshot(SampleSnapshot()), ReadBytes(path)}) {
+    ASSERT_EQ(bytes.size(), 417u);
+    EXPECT_TRUE(std::equal(header.begin(), header.end(), bytes.begin()));
+    EXPECT_EQ(FrameChecksum(bytes), 0x56c86c86e7ac6b49ull);
+  }
+  std::remove(path.c_str());
 }
 
 TEST(SnapshotCodecTest, EmptySnapshotRoundTrips) {
@@ -141,6 +251,61 @@ TEST(SnapshotCodecTest, RejectsTrailingBytesAndWrongVersion) {
   EXPECT_NE(r.status().message().find("version"), std::string::npos);
 }
 
+// ---------------------------------------------------- streaming writer
+
+TEST(SnapshotWriterTest, StreamedFileIsByteIdenticalToEncodeSnapshot) {
+  for (const SnapshotFile& file :
+       {SampleSnapshot(), MultiBufferSnapshot(), SnapshotFile{}}) {
+    const std::string path = TempPath("stream_identity.snap");
+    ASSERT_TRUE(WriteSnapshotFile(path, file).ok());
+    const std::vector<uint8_t> streamed = ReadBytes(path);
+    const std::vector<uint8_t> encoded = EncodeSnapshot(file);
+    ASSERT_EQ(streamed.size(), encoded.size());
+    EXPECT_TRUE(streamed == encoded);
+    std::remove(path.c_str());
+  }
+}
+
+TEST(SnapshotWriterTest, StreamedFileRejectsEveryPrefixAndBitFlip) {
+  const std::string path = TempPath("stream_fuzz.snap");
+  ASSERT_TRUE(WriteSnapshotFile(path, SampleSnapshot()).ok());
+  const std::vector<uint8_t> small = ReadBytes(path);
+  ExpectPrefixesAndFlipsRejected(small, 0, small.size());
+
+  // A multi-buffer file: the back-patched header, both sides of every
+  // buffer flush, and the tail.
+  ASSERT_TRUE(WriteSnapshotFile(path, MultiBufferSnapshot()).ok());
+  const std::vector<uint8_t> big = ReadBytes(path);
+  ASSERT_GT(big.size(), 2 * SnapshotWriter::kBufferBytes);
+  ExpectPrefixesAndFlipsRejected(big, 0, persist::kSnapshotHeaderBytes);
+  for (std::size_t flush = SnapshotWriter::kBufferBytes +
+                           persist::kSnapshotHeaderBytes;
+       flush < big.size(); flush += SnapshotWriter::kBufferBytes) {
+    ExpectPrefixesAndFlipsRejected(big, flush - 4, flush + 4);
+  }
+  ExpectPrefixesAndFlipsRejected(big, big.size() - 12, big.size());
+  std::remove(path.c_str());
+}
+
+TEST(SnapshotWriterTest, StagingStaysWithinBufferPlusLargestSection) {
+  const SnapshotFile file = MultiBufferSnapshot();
+  const std::string path = TempPath("stream_staging.snap");
+  SnapshotWriter writer(path, file.graph_fp, file.params_fp);
+  std::size_t largest = 0;
+  for (const SnapshotSection& section : file.sections) {
+    ASSERT_TRUE(writer.Append(section.kind, section.payload).ok());
+    largest = std::max(largest, persist::kSectionPrefixBytes +
+                                    section.payload.size() + sizeof(uint64_t));
+  }
+  ASSERT_TRUE(writer.Commit().ok());
+  EXPECT_EQ(writer.bytes(), EncodeSnapshot(file).size());
+  EXPECT_GE(writer.staging_peak(), largest);
+  EXPECT_LE(writer.staging_peak(), SnapshotWriter::kBufferBytes + largest);
+  // The whole file is never staged.
+  EXPECT_LT(writer.staging_peak(), writer.bytes());
+  std::remove(path.c_str());
+}
+
 // ---------------------------------------------------- atomic writer
 
 TEST(AtomicWriterTest, AbandonAtEveryPhaseLeavesLastGoodOrNew) {
@@ -173,11 +338,31 @@ TEST(AtomicWriterTest, AbandonAtEveryPhaseLeavesLastGoodOrNew) {
       EXPECT_EQ(loaded->sections[0].payload, good.sections[0].payload);
     }
     // No abandoned temp file may survive.
-    EXPECT_FALSE(std::ifstream(path + ".tmp." + std::to_string(getpid()))
-                     .good());
+    EXPECT_TRUE(LeftoverTempFiles(path).empty());
     // Reset to the known-good state for the next phase.
     ASSERT_TRUE(WriteSnapshotFile(path, good).ok());
   }
+  std::remove(path.c_str());
+}
+
+TEST(AtomicWriterTest, WriterDroppedBeforeCommitLeavesNoTempFile) {
+  const std::string path = TempPath("dropped.snap");
+  {
+    SnapshotWriter writer(path, 1, 2);
+    ASSERT_TRUE(writer.Append(1, std::vector<uint8_t>(100, 7)).ok());
+  }
+  EXPECT_TRUE(LeftoverTempFiles(path).empty());
+  EXPECT_EQ(ReadSnapshotFile(path).status().code(), StatusCode::kNotFound);
+}
+
+TEST(AtomicWriterTest, CommittedSnapshotIsWorldReadable) {
+  // The writer's temp file starts owner-only (mkstemp); the committed
+  // snapshot must not.
+  const std::string path = TempPath("mode.snap");
+  ASSERT_TRUE(WriteSnapshotFile(path, SampleSnapshot()).ok());
+  struct stat st {};
+  ASSERT_EQ(::stat(path.c_str(), &st), 0);
+  EXPECT_EQ(st.st_mode & 0777, 0644u);
   std::remove(path.c_str());
 }
 
@@ -404,6 +589,140 @@ TEST_F(WarmStateTest, PersistMetricsTickOnSaveAndRestore) {
     const obs::MetricsSnapshot snap = cold.SnapshotMetrics();
     EXPECT_EQ(snap.FindCounter("persist.restore.rejects")->value, 0);
   }
+  std::remove(path.c_str());
+}
+
+TEST_F(WarmStateTest, SaveAbortAtEveryPhaseLeavesPreviousOrNew) {
+  const std::string path = TempPath("warm_abort.snap");
+  const std::string next_path = TempPath("warm_abort_next.snap");
+  DhtJoinService service(g_, params_, kD, ServiceOptions());
+  ASSERT_TRUE(service.TwoWay(P_, Q_, kK).ok());
+  ASSERT_TRUE(service.SaveWarmState(path).ok());
+  const std::vector<uint8_t> previous = ReadBytes(path);
+  // More cache records, so the next checkpoint differs from the last.
+  ASSERT_TRUE(service.TwoWay(Range("P2", 30, 45), Range("Q2", 0, 12), kK).ok());
+  ASSERT_TRUE(service.SaveWarmState(next_path).ok());
+  const std::vector<uint8_t> next = ReadBytes(next_path);
+  ASSERT_NE(previous, next);
+
+  for (int phase = 0; phase < persist::kNumCheckpointPhases; ++phase) {
+    const auto kill_at = static_cast<CheckpointPhase>(phase);
+    SCOPED_TRACE(persist::CheckpointPhaseName(kill_at));
+    std::vector<int> fired;
+    Status st = service.SaveWarmState(path, [&](CheckpointPhase p) {
+      fired.push_back(static_cast<int>(p));
+      return p != kill_at;
+    });
+    EXPECT_EQ(st.code(), StatusCode::kCancelled);
+    std::vector<int> want(static_cast<std::size_t>(phase) + 1);
+    for (int p = 0; p <= phase; ++p) want[static_cast<std::size_t>(p)] = p;
+    EXPECT_EQ(fired, want);
+    EXPECT_TRUE(ReadBytes(path) ==
+                (kill_at == CheckpointPhase::kAfterRename ? next : previous));
+    EXPECT_TRUE(LeftoverTempFiles(path).empty());
+    DhtJoinService restored(g_, params_, kD, ServiceOptions());
+    ASSERT_TRUE(restored.LoadWarmState(path).ok());
+    WriteRawFile(path, previous);
+  }
+  std::remove(path.c_str());
+  std::remove(next_path.c_str());
+}
+
+TEST_F(WarmStateTest, ConcurrentSavesToOnePathAllSucceed) {
+  const std::string path = TempPath("warm_concurrent.snap");
+  DhtJoinService service(g_, params_, kD, ServiceOptions());
+  ASSERT_TRUE(service.TwoWay(P_, Q_, kK).ok());
+  constexpr int kRounds = 20;
+  Status status[2];
+  auto saver = [&](int t) {
+    for (int i = 0; i < kRounds && status[t].ok(); ++i) {
+      status[t] = service.SaveWarmState(path);
+    }
+  };
+  std::thread a(saver, 0);
+  std::thread b(saver, 1);
+  a.join();
+  b.join();
+  EXPECT_TRUE(status[0].ok()) << status[0].ToString();
+  EXPECT_TRUE(status[1].ok()) << status[1].ToString();
+  EXPECT_TRUE(LeftoverTempFiles(path).empty());
+  DhtJoinService restored(g_, params_, kD, ServiceOptions());
+  Result<int64_t> n = restored.LoadWarmState(path);
+  ASSERT_TRUE(n.ok()) << n.status().ToString();
+  EXPECT_GT(n.value(), 0);
+  EXPECT_EQ(service.SnapshotMetrics()
+                .FindCounter("persist.checkpoint.writes")
+                ->value,
+            2 * kRounds);
+  std::remove(path.c_str());
+}
+
+TEST_F(WarmStateTest, SaveBesideLiveQueriesRestoresByteIdentically) {
+  const std::string path = TempPath("warm_live.snap");
+  DhtJoinService service(g_, params_, kD, ServiceOptions());
+  std::atomic<bool> done{false};
+  Status save_status;
+  int saves = 0;
+  std::thread checkpointer([&] {
+    while (!done.load() && save_status.ok()) {
+      save_status = service.SaveWarmState(path);
+      ++saves;
+    }
+  });
+  std::vector<NodeSet> lefts = {P_, Range("P2", 30, 45), Range("P3", 5, 25)};
+  std::vector<std::future<Result<std::vector<ScoredPair>>>> futures;
+  for (int round = 0; round < 3; ++round) {
+    for (const NodeSet& left : lefts) {
+      futures.push_back(service.SubmitTwoWay(left, Q_, kK));
+    }
+  }
+  for (auto& f : futures) ASSERT_TRUE(f.get().ok());
+  done.store(true);
+  checkpointer.join();
+  ASSERT_TRUE(save_status.ok()) << save_status.ToString();
+  EXPECT_GT(saves, 0);
+  ASSERT_TRUE(service.SaveWarmState(path).ok());
+
+  DhtJoinService warmed(g_, params_, kD, ServiceOptions());
+  ASSERT_TRUE(warmed.LoadWarmState(path).ok());
+  DhtJoinService cold(g_, params_, kD, ServiceOptions());
+  for (const NodeSet& left : lefts) {
+    Result<std::vector<ScoredPair>> want = cold.TwoWay(left, Q_, kK);
+    Result<std::vector<ScoredPair>> got = warmed.TwoWay(left, Q_, kK);
+    ASSERT_TRUE(want.ok());
+    ASSERT_TRUE(got.ok());
+    ExpectBytesIdentical(*got, *want);
+  }
+  std::remove(path.c_str());
+}
+
+TEST_F(WarmStateTest, SavedFileReencodesIdentically) {
+  // The streamed checkpoint of real cache records is byte-for-byte the
+  // in-memory encoding of the sections it holds.
+  const std::string path = TempPath("warm_reencode.snap");
+  DhtJoinService service(g_, params_, kD, ServiceOptions());
+  ASSERT_TRUE(service.TwoWay(P_, Q_, kK).ok());
+  ASSERT_TRUE(service.SaveWarmState(path).ok());
+  const std::vector<uint8_t> streamed = ReadBytes(path);
+  Result<SnapshotFile> file = DecodeSnapshot(streamed);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  ASSERT_FALSE(file->sections.empty());
+  EXPECT_TRUE(EncodeSnapshot(*file) == streamed);
+
+  // The staging gauge: at most the writer's buffer plus the largest
+  // framed section.
+  std::size_t largest = 0;
+  for (const SnapshotSection& section : file->sections) {
+    largest = std::max(largest, persist::kSectionPrefixBytes +
+                                    section.payload.size() + sizeof(uint64_t));
+  }
+  const double staging =
+      service.SnapshotMetrics()
+          .FindGauge("persist.checkpoint.staging_bytes")
+          ->value;
+  EXPECT_GE(staging, static_cast<double>(largest));
+  EXPECT_LE(staging,
+            static_cast<double>(SnapshotWriter::kBufferBytes + largest));
   std::remove(path.c_str());
 }
 
